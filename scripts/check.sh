@@ -53,12 +53,13 @@
 #               (serving.*).
 #   --sanitize  configure a second build tree (<build-dir>-san) with
 #               -DBEESIM_SANITIZE=address,undefined and run the
-#               sim/fault/net/checkpoint/simd/precision test binaries
-#               under ASan+UBSan; then a third tree (<build-dir>-tsan)
-#               with -DBEESIM_SANITIZE=thread and run the task-pool and
-#               serving test binaries under ThreadSanitizer (the two
-#               suites that exercise the work-stealing executor and the
-#               lock-free submission rings).
+#               sim/fault/net/checkpoint/simd/precision/cycle-memo test
+#               binaries under ASan+UBSan; then a third tree
+#               (<build-dir>-tsan) with -DBEESIM_SANITIZE=thread and run
+#               the task-pool, serving and cycle-memo test binaries under
+#               ThreadSanitizer (the suites that exercise the
+#               work-stealing executor, the lock-free submission rings
+#               and the per-point memos of pool-parallel sweeps).
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -354,9 +355,11 @@ if [ "$run_sanitize" -eq 1 ]; then
     -DBEESIM_SANITIZE=address,undefined > /dev/null
   cmake --build "$repo/$build-san" -j \
     --target test_sim test_fault test_net test_checkpoint \
-             test_simd test_precision test_placement_search > /dev/null
+             test_simd test_precision test_placement_search \
+             test_cycle_memo > /dev/null
   for t in test_sim test_fault test_net test_checkpoint \
-           test_simd test_precision test_placement_search; do
+           test_simd test_precision test_placement_search \
+           test_cycle_memo; do
     if "$repo/$build-san/tests/$t" --gtest_brief=1 > "$tmp/$t.san.log" 2>&1
     then
       echo "  ok  $t clean under address,undefined"
@@ -368,12 +371,12 @@ if [ "$run_sanitize" -eq 1 ]; then
   done
 
   echo
-  echo "== sanitize (--sanitize): pool + serving tests under TSan =="
+  echo "== sanitize (--sanitize): pool + serving + cycle-memo tests under TSan =="
   cmake -B "$repo/$build-tsan" -S "$repo" \
     -DBEESIM_SANITIZE=thread > /dev/null
   cmake --build "$repo/$build-tsan" -j \
-    --target test_task_pool test_serve > /dev/null
-  for t in test_task_pool test_serve; do
+    --target test_task_pool test_serve test_cycle_memo > /dev/null
+  for t in test_task_pool test_serve test_cycle_memo; do
     if "$repo/$build-tsan/tests/$t" --gtest_brief=1 > "$tmp/$t.tsan.log" 2>&1
     then
       echo "  ok  $t clean under thread"

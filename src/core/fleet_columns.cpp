@@ -234,8 +234,9 @@ bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
         constexpr int kChunk = 128;
         double buf[kChunk * 5];
         int filled = 0;
+        CycleMemo memo;
         for (int c = 0; c < budget; ++c) {
-          const CycleResult r = simulate_cycle(n, rng);
+          const CycleResult r = simulate_cycle(n, rng, &memo);
           servers = std::max(servers, r.servers_used);
           double* row = buf + filled * 5;
           row[0] = static_cast<double>(r.lost_clients);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/catalog.hpp"
@@ -16,6 +17,20 @@ FleetParams FleetParams::paper_default(ServiceModel service,
   p.client = ClientSpec::smart_beehive(Placement::kEdgeCloud, service, cycle);
   p.server = ServerSpec::cloud_server(service, max_parallel, cycle);
   return p;
+}
+
+bool FleetParams::valid() const noexcept {
+  if (client.period != server.cycle || server.max_parallel < 1) return false;
+  // The server LargeScaleSimulator plans with: loss model B folded in.
+  ServerSpec planned = server;
+  if (loss.transfer_stretch)
+    planned.extra_transfer_per_client = loss.extra_transfer_per_client;
+  const util::Seconds slot = planned.planning_slot_duration();
+  const double slots = server.cycle / slot;
+  // Written so NaN fails; the upper bound keeps slots_per_cycle()'s
+  // conversion to int defined.
+  return slot > 0.0 && slots >= 1.0 &&
+         slots < static_cast<double>(std::numeric_limits<int>::max());
 }
 
 double CycleResult::edge_per_client() const noexcept {
@@ -72,11 +87,11 @@ LargeScaleSimulator::LargeScaleSimulator(FleetParams params)
   if (params_.loss.transfer_stretch)
     server_.extra_transfer_per_client =
         params_.loss.extra_transfer_per_client;
-  if (params_.client.period != server_.cycle)
+  if (!params_.valid())
     throw std::invalid_argument(
-        "LargeScaleSimulator: client period and server cycle differ");
-  // Validate the geometry once (throws if a slot cannot fit).
-  (void)server_.slots_per_cycle();
+        params_.client.period != params_.server.cycle
+            ? "LargeScaleSimulator: client period and server cycle differ"
+            : "ServerSpec: a slot does not fit in the cycle");
   if (params_.loss.client_dropout) {
     FleetParams ideal = params_;
     ideal.loss.client_dropout = false;
@@ -85,7 +100,7 @@ LargeScaleSimulator::LargeScaleSimulator(FleetParams params)
 }
 
 util::Joules LargeScaleSimulator::server_energy(
-    const Allocation::ServerLoad& load) const {
+    const Allocation::ServerLoad& load, std::uint64_t& saturated) const {
   util::Seconds active_time = 0.0;
   util::Joules active_energy = 0.0;
   for (int k : load.slot_clients) {
@@ -94,11 +109,7 @@ util::Joules LargeScaleSimulator::server_energy(
     active_energy += server_.slot_active_energy(k) *
                      params_.loss.saturation_factor(k,
                                                     server_.max_parallel);
-    if (obs::enabled() && params_.loss.saturates(k, server_.max_parallel)) {
-      static auto& saturated =
-          obs::registry().counter(obs::metric::kLossSaturatedSlots);
-      saturated.inc();
-    }
+    if (params_.loss.saturates(k, server_.max_parallel)) ++saturated;
   }
   if (active_time > server_.cycle)
     throw std::logic_error(
@@ -106,8 +117,8 @@ util::Joules LargeScaleSimulator::server_energy(
   return server_.idle_power * (server_.cycle - active_time) + active_energy;
 }
 
-util::Joules LargeScaleSimulator::server_energy(const CompactLayout& layout,
-                                                int cls) const {
+util::Joules LargeScaleSimulator::server_energy(
+    const CompactLayout& layout, int cls, std::uint64_t& saturated) const {
   util::Seconds active_time = 0.0;
   util::Joules active_energy = 0.0;
   for (int b = 0; b < layout.band_count[cls]; ++b) {
@@ -119,12 +130,9 @@ util::Joules LargeScaleSimulator::server_energy(const CompactLayout& layout,
     active_energy += slots * (server_.slot_active_energy(k) *
                               params_.loss.saturation_factor(
                                   k, server_.max_parallel));
-    if (obs::enabled() && params_.loss.saturates(k, server_.max_parallel)) {
-      static auto& saturated =
-          obs::registry().counter(obs::metric::kLossSaturatedSlots);
-      saturated.inc(static_cast<std::uint64_t>(band_slots) *
-                    static_cast<std::uint64_t>(layout.servers[cls]));
-    }
+    if (params_.loss.saturates(k, server_.max_parallel))
+      saturated += static_cast<std::uint64_t>(band_slots) *
+                   static_cast<std::uint64_t>(layout.servers[cls]);
   }
   if (active_time > server_.cycle)
     throw std::logic_error(
@@ -132,8 +140,38 @@ util::Joules LargeScaleSimulator::server_energy(const CompactLayout& layout,
   return server_.idle_power * (server_.cycle - active_time) + active_energy;
 }
 
+LargeScaleSimulator::CloudCycle LargeScaleSimulator::cloud_cycle(
+    int surviving) const {
+  CloudCycle out;
+  if (params_.compact_allocation) {
+    // Stack-resident columnar layout: the whole allocation is a few fixed
+    // arrays, no heap traffic (the SoA fast path that
+    // bench/checkpoint_bench measures against the old vector form).
+    CompactLayout layout;
+    allocate_compact_into(surviving, server_, params_.policy, layout);
+    out.servers_used = static_cast<int>(layout.servers_used());
+    out.active_slots = static_cast<int>(layout.active_slots());
+    for (int c = 0; c < layout.class_count; ++c)
+      out.cloud_energy += static_cast<double>(layout.servers[c]) *
+                          server_energy(layout, c, out.saturated_slots);
+  } else {
+    const Allocation alloc = allocate(surviving, server_, params_.policy);
+    out.servers_used = alloc.servers_used();
+    for (const auto& load : alloc.servers) {
+      out.active_slots += load.active_slots();
+      out.cloud_energy += server_energy(load, out.saturated_slots);
+    }
+  }
+  return out;
+}
+
 CycleResult LargeScaleSimulator::simulate_cycle(int clients,
                                                 util::Rng& rng) const {
+  return simulate_cycle(clients, rng, nullptr);
+}
+
+CycleResult LargeScaleSimulator::simulate_cycle(int clients, util::Rng& rng,
+                                                CycleMemo* memo) const {
   if (clients < 0)
     throw std::invalid_argument("simulate_cycle: negative clients");
   CycleResult result;
@@ -146,25 +184,11 @@ CycleResult LargeScaleSimulator::simulate_cycle(int clients,
       static_cast<double>(result.lost_clients) *
           params_.client.sleep_cycle_energy();
 
-  if (params_.compact_allocation) {
-    // Stack-resident columnar layout: the whole per-cycle allocation is a
-    // few fixed arrays, no heap traffic (the SoA fast path that
-    // bench/checkpoint_bench measures against the old vector form).
-    CompactLayout layout;
-    allocate_compact_into(surviving, server_, params_.policy, layout);
-    result.servers_used = static_cast<int>(layout.servers_used());
-    result.active_slots = static_cast<int>(layout.active_slots());
-    for (int c = 0; c < layout.class_count; ++c)
-      result.cloud_energy +=
-          static_cast<double>(layout.servers[c]) * server_energy(layout, c);
-  } else {
-    const Allocation alloc = allocate(surviving, server_, params_.policy);
-    result.servers_used = alloc.servers_used();
-    for (const auto& load : alloc.servers) {
-      result.active_slots += load.active_slots();
-      result.cloud_energy += server_energy(load);
-    }
-  }
+  const CloudCycle cloud =
+      memo != nullptr ? memo->get(*this, surviving) : cloud_cycle(surviving);
+  result.servers_used = cloud.servers_used;
+  result.active_slots = cloud.active_slots;
+  result.cloud_energy = cloud.cloud_energy;
 
   if (obs::enabled()) {
     static auto& cycles = obs::registry().counter(obs::metric::kFleetCycles);
@@ -178,6 +202,8 @@ CycleResult LargeScaleSimulator::simulate_cycle(int clients,
         obs::registry().counter(obs::metric::kFleetRequestsDropped);
     static auto& max_servers =
         obs::registry().gauge(obs::metric::kFleetMaxServersUsed);
+    static auto& saturated =
+        obs::registry().counter(obs::metric::kLossSaturatedSlots);
     cycles.inc();
     hives.inc(static_cast<std::uint64_t>(clients));
     // Every surviving client both runs its edge routine and uploads to a
@@ -187,6 +213,9 @@ CycleResult LargeScaleSimulator::simulate_cycle(int clients,
     cloud_requests.inc(static_cast<std::uint64_t>(surviving));
     dropped.inc(static_cast<std::uint64_t>(result.lost_clients));
     max_servers.update_max(static_cast<double>(result.servers_used));
+    // Counted per cycle, memo hit or not, so the total is exactly the
+    // plain per-cycle loop's.
+    if (cloud.saturated_slots > 0) saturated.inc(cloud.saturated_slots);
   }
   return result;
 }
@@ -215,8 +244,9 @@ std::vector<SweepPoint> LargeScaleSimulator::sweep(
         SweepPoint& point = out[i];
         point.initial_clients = n;
         point.cycles = cycles_per_point;
+        CycleMemo memo;
         for (int c = 0; c < cycles_per_point; ++c) {
-          const CycleResult r = simulate_cycle(n, rng);
+          const CycleResult r = simulate_cycle(n, rng, &memo);
           point.servers_used = std::max(point.servers_used, r.servers_used);
           point.lost_clients.add(static_cast<double>(r.lost_clients));
           point.active_slots.add(static_cast<double>(r.active_slots));

@@ -29,6 +29,13 @@ struct FleetParams {
   /// cross-validation and stays O(servers × slots) per cycle.
   bool compact_allocation = true;
 
+  /// The simulator's physics preconditions: the client wakes once per
+  /// server cycle (`client.period == server.cycle`), and at least one
+  /// full slot — `max_parallel` >= 1 clients, stretched by loss model B
+  /// when it is on — fits in the cycle. LargeScaleSimulator's constructor
+  /// throws on a false result; serve admission rejects it as invalid.
+  bool valid() const noexcept;
+
   /// The paper's Section VI configuration: edge+cloud smart-beehive
   /// clients on a 5-minute cycle, cloud servers running the given queen
   /// detection model with `max_parallel` clients per time slot.
@@ -90,7 +97,9 @@ class LargeScaleSimulator {
  public:
   explicit LargeScaleSimulator(FleetParams params);
 
-  /// One cycle with `clients` deployed beehives.
+  /// One cycle with `clients` deployed beehives. Always recomputes the
+  /// cloud side — the plain oracle the memoized point loops of sweep(),
+  /// advance() and ResilientFleet are tested against.
   CycleResult simulate_cycle(int clients, util::Rng& rng) const;
 
   /// One cycle without any stochastic loss (ignores loss model C). The
@@ -131,12 +140,59 @@ class LargeScaleSimulator {
   const FleetParams& params() const noexcept { return params_; }
 
  private:
-  util::Joules server_energy(const Allocation::ServerLoad& load) const;
+  friend class ResilientFleet;
+
+  /// The cloud side of one cycle: everything after the loss-C draw.
+  struct CloudCycle {
+    int servers_used = 0;
+    int active_slots = 0;
+    util::Joules cloud_energy = 0.0;
+    /// Slots paying the loss-A penalty (core.loss.saturated_slots).
+    std::uint64_t saturated_slots = 0;
+  };
+
+  /// Direct-mapped memo of cloud_cycle() keyed by survivor count. Each
+  /// point loop owns one on its stack: a point's survivors cluster around
+  /// one mean (12-14 distinct counts in 512 paper-default cycles, exactly
+  /// one when loss-free), so almost every cycle is a hit. A hit returns
+  /// the bits a recompute would, because cloud_cycle() is a pure function
+  /// of the survivor count for a given simulator.
+  class CycleMemo {
+   public:
+    const CloudCycle& get(const LargeScaleSimulator& sim, int surviving) {
+      Entry& e = entries_[static_cast<unsigned>(surviving) & (kSize - 1)];
+      if (e.surviving != surviving) {
+        e.value = sim.cloud_cycle(surviving);
+        e.surviving = surviving;
+      }
+      return e.value;
+    }
+
+   private:
+    static constexpr unsigned kSize = 32;
+    struct Entry {
+      int surviving = -1;  // survivor counts are >= 0: -1 is "empty"
+      CloudCycle value;
+    };
+    Entry entries_[kSize];
+  };
+
+  /// Allocates `surviving` clients and prices their slots. Pure apart from
+  /// the allocator's own metrics; sums in the same order on both paths.
+  CloudCycle cloud_cycle(int surviving) const;
+  /// simulate_cycle() with the cloud side looked up in `memo` (recomputed
+  /// when `memo` is null). Records the same physics metrics either way.
+  CycleResult simulate_cycle(int clients, util::Rng& rng,
+                             CycleMemo* memo) const;
+
+  util::Joules server_energy(const Allocation::ServerLoad& load,
+                             std::uint64_t& saturated) const;
   /// Per-server energy of class `cls` of a flat columnar layout; the
-  /// class multiplicity is read from the layout for exact metric
-  /// accounting. Arithmetic is band-for-band identical to the vector
-  /// path (equivalence-tested).
-  util::Joules server_energy(const CompactLayout& layout, int cls) const;
+  /// class multiplicity is read from the layout for exact saturated-slot
+  /// accounting. Arithmetic is band-for-band identical to the vector path
+  /// (equivalence-tested).
+  util::Joules server_energy(const CompactLayout& layout, int cls,
+                             std::uint64_t& saturated) const;
 
   FleetParams params_;
   ServerSpec server_;  // params_.server with transfer stretch applied

@@ -143,13 +143,17 @@ ResiliencePoint ResilientFleet::run_point(int clients, int cycles,
   fault::StoreAndForwardBuffer buffer(policy_.buffer_bytes_per_client *
                                       static_cast<double>(clients));
   const double upload = policy_.upload_bytes_per_client;
+  // Clean cycles share the base simulator's cloud-side memo; faulted
+  // cycles run on degraded siblings (or shed/mute part of the fleet) and
+  // always recompute.
+  LargeScaleSimulator::CycleMemo memo;
   for (int c = 0; c < cycles; ++c) {
     const fault::CycleFaults& faults = injector_.at(c);
     if (!faults.any()) {
       // Clean cycle: delegate verbatim to the base simulator — with an
       // empty plan every cycle takes this path and the RNG draw sequence
       // is exactly LargeScaleSimulator::sweep's (bit-identity contract).
-      const CycleResult r = base_.simulate_cycle(clients, rng);
+      const CycleResult r = base_.simulate_cycle(clients, rng, &memo);
       double edge = r.edge_energy;
       const double produced =
           static_cast<double>(r.surviving_clients()) * upload;

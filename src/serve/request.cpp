@@ -78,7 +78,14 @@ bool valid(const Request& request) noexcept {
   if (counts.empty() || request.cycles_per_point() < 1) return false;
   for (int n : counts)
     if (n < 1) return false;
-  return true;
+  // Physics the simulator constructor would throw on — on a serve worker
+  // thread, which would take the whole process down.
+  switch (request.kind) {
+    case RequestKind::kSweep: return request.sweep.params.valid();
+    case RequestKind::kWhatIf: return request.what_if.params.valid();
+    case RequestKind::kResilience: return request.resilience.params.valid();
+  }
+  return false;
 }
 
 core::Hash128 scenario_group(const Request& request) {

@@ -132,9 +132,12 @@ struct TaskPool::Impl {
   /// "Correct and Efficient Work-Stealing for Weak Memory Models"). The
   /// owning worker pushes and pops at the bottom (LIFO, lock-free);
   /// thieves steal at the top (FIFO) racing through one CAS. Cells are
-  /// atomics, so the owner/thief race on a cell is defined behavior and
-  /// ThreadSanitizer-clean. The buffer grows by retiring the old array
-  /// (a thief may still be reading it) rather than freeing it.
+  /// atomics, so the owner/thief race on a cell is defined behavior. A
+  /// cell is written with release and stolen with acquire: that edge
+  /// publishes the job to the thief, and unlike the fence pairing on
+  /// bottom_ alone, ThreadSanitizer can see it. The buffer grows by
+  /// retiring the old array (a thief may still be reading it) rather than
+  /// freeing it.
   class Deque {
    public:
     explicit Deque(std::size_t capacity = 256) {
@@ -150,7 +153,7 @@ struct TaskPool::Impl {
         buf = buffer_.load(std::memory_order_relaxed);
       }
       buf->cells[static_cast<std::size_t>(b & buf->mask)].store(
-          job, std::memory_order_relaxed);
+          job, std::memory_order_release);
       std::atomic_thread_fence(std::memory_order_release);
       bottom_.store(b + 1, std::memory_order_relaxed);
     }
@@ -183,7 +186,7 @@ struct TaskPool::Impl {
       if (t >= b) return false;
       Buffer* buf = buffer_.load(std::memory_order_acquire);
       out = buf->cells[static_cast<std::size_t>(t & buf->mask)].load(
-          std::memory_order_relaxed);
+          std::memory_order_acquire);
       return top_.compare_exchange_strong(
           t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
     }
@@ -218,7 +221,7 @@ struct TaskPool::Impl {
         bigger->cells[static_cast<std::size_t>(i & bigger->mask)].store(
             old->cells[static_cast<std::size_t>(i & old->mask)].load(
                 std::memory_order_relaxed),
-            std::memory_order_relaxed);
+            std::memory_order_release);
       buffer_.store(bigger, std::memory_order_release);
     }
 

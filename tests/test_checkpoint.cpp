@@ -11,6 +11,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/checkpoint.hpp"
 #include "core/fleet_columns.hpp"
@@ -29,7 +30,10 @@ using core::ResilienceColumns;
 using core::StatColumns;
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
+  // Per-process name: ctest -j runs the cases of this binary as concurrent
+  // processes, and one case truncating a file another has mapped crashes it.
+  return ::testing::TempDir() + std::to_string(static_cast<long>(::getpid())) +
+         "_" + name;
 }
 
 core::FleetParams lossy_params() {

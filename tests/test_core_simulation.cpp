@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/des_check.hpp"
 #include "core/loss.hpp"
@@ -359,6 +360,31 @@ TEST(Simulation, MismatchedPeriodsRejected) {
   core::FleetParams fleet = core::FleetParams::paper_default();
   fleet.client.period = 600.0;
   EXPECT_THROW(core::LargeScaleSimulator{fleet}, std::invalid_argument);
+}
+
+TEST(Simulation, ValidPredicateMatchesTheConstructor) {
+  const core::FleetParams good = core::FleetParams::paper_default();
+  EXPECT_TRUE(good.valid());
+  EXPECT_NO_THROW(core::LargeScaleSimulator{good});
+
+  std::vector<core::FleetParams> bad;
+  bad.push_back(good);
+  bad.back().client.period = 600.0;  // period != cycle
+  bad.push_back(good);
+  bad.back().server.max_parallel = 0;
+  bad.push_back(good);
+  bad.back().server.receive_time = 400.0;  // one slot outlasts the cycle
+  bad.push_back(good);
+  // Loss model B stretches a full slot past the cycle.
+  bad.back().loss.transfer_stretch = true;
+  bad.back().loss.extra_transfer_per_client = 40.0;
+  bad.push_back(good);
+  bad.back().server.cycle = std::nan("");
+  bad.back().client.period = bad.back().server.cycle;
+  for (const core::FleetParams& p : bad) {
+    EXPECT_FALSE(p.valid());
+    EXPECT_THROW(core::LargeScaleSimulator{p}, std::invalid_argument);
+  }
 }
 
 // --------------------------------- Analytic vs event-driven cross-validation

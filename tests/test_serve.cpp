@@ -368,6 +368,46 @@ TEST(SimulationService, InvalidRequestsRejectTyped) {
   EXPECT_EQ(service.ledger().rejected, 3u);
 }
 
+TEST(SimulationService, InvalidPhysicsRejectsTypedInWorkerMode) {
+  // A client period that differs from the server cycle used to pass
+  // admission and throw from the simulator constructor on a worker thread
+  // (std::terminate). Every kind must now reject it at admission.
+  SimulationService::Config config;
+  config.workers = 2;
+  SimulationService service(config);
+  core::FleetParams mismatched = lossy_fleet();
+  mismatched.client.period = mismatched.server.cycle / 2.0;
+  ASSERT_FALSE(mismatched.valid());
+
+  serve::SweepRequest sweep;
+  sweep.params = mismatched;
+  sweep.client_counts = {100};
+  serve::WhatIfRequest what_if;
+  what_if.params = mismatched;
+  what_if.client_counts = {100};
+  serve::ResilienceRequest resilience;
+  resilience.params = mismatched;
+  resilience.client_counts = {100};
+  for (Request request : {Request::make_sweep(sweep),
+                          Request::make_what_if(what_if),
+                          Request::make_resilience(resilience)}) {
+    auto ticket = service.submit(std::move(request));
+    EXPECT_EQ(ticket.admission, Admission::kRejectedInvalid);
+    EXPECT_FALSE(ticket.response.valid());
+  }
+
+  // The service is still alive and serving.
+  auto ok = service.submit(sweep_request({100}, 2));
+  ASSERT_EQ(ok.admission, Admission::kAdmitted);
+  EXPECT_EQ(ok.response.get().sweep_points.size(), 1u);
+  service.shutdown();
+  expect_balanced_and_drained(service);
+  const auto ledger = service.ledger();
+  EXPECT_EQ(ledger.rejected, 3u);
+  EXPECT_EQ(ledger.admitted, 1u);
+  EXPECT_EQ(ledger.completed, 1u);
+}
+
 TEST(SimulationService, QueueFullRejectsTyped) {
   SimulationService::Config config = manual_config();
   config.queue_capacity = 2;  // tiny ring, nothing drains it

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <numeric>
@@ -223,7 +224,28 @@ TEST(TaskPool, ConcurrentIssuersFromExternalThreads) {
 TEST(TaskPool, StatsAreMonotonic) {
   auto& pool = u::TaskPool::instance();
   const auto before = pool.stats();
-  u::parallel_for(256, [](std::size_t) {}, 4);
+  // Empty items let the issuer finish the whole region before a lazily
+  // woken worker dequeues its helper task, leaving stats().tasks unmoved.
+  // So the issuer's items hold (for at most ~1 s) until a second thread
+  // has entered the region: a worker counts its task before running it.
+  const auto issuer = std::this_thread::get_id();
+  const bool expect_helper = pool.worker_count() > 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  std::atomic<bool> helper_entered{false};
+  u::parallel_for(
+      256,
+      [&](std::size_t) {
+        if (std::this_thread::get_id() != issuer) {
+          helper_entered.store(true, std::memory_order_release);
+          return;
+        }
+        while (expect_helper &&
+               !helper_entered.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+      },
+      4);
   const auto after = pool.stats();
   EXPECT_GE(after.tasks, before.tasks);
   EXPECT_GE(after.steals, before.steals);

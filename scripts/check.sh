@@ -48,13 +48,12 @@
 #               avx2-vs-scalar and int8/bf16-vs-f32 speedup ratios, the
 #               greedy-vs-beam placement energy on the fig7 crossover
 #               fleet under a cloud-outage plan, the task-pool dispatch
-#               overhead vs spawn-per-call (pool.*) and the serving
-#               throughput with/without batched columnar compute
-#               (serving.*).
+#               overhead vs spawn-per-call (pool.*) and the cache-off
+#               serving throughput (serving.*).
 #   --sanitize  configure a second build tree (<build-dir>-san) with
 #               -DBEESIM_SANITIZE=address,undefined and run the
-#               sim/fault/net/checkpoint/simd/precision/cycle-memo test
-#               binaries under ASan+UBSan; then a third tree
+#               sim/fault/net/checkpoint/simd/precision/cycle-memo/serve
+#               test binaries under ASan+UBSan; then a third tree
 #               (<build-dir>-tsan) with -DBEESIM_SANITIZE=thread and run
 #               the task-pool, serving and cycle-memo test binaries under
 #               ThreadSanitizer (the suites that exercise the
@@ -284,12 +283,7 @@ if [ "$run_bench" -eq 1 ]; then
     scenarios=2 cycles_per_point=300 workers=2 > "$tmp/serving_bench.txt"
   serve_cache_off_rps="$(sed -n \
     's/.*cache=off *\([0-9.]*\) req\/s.*/\1/p' "$tmp/serving_bench.txt")"
-  serve_scalar_rps="$(sed -n \
-    's/.*columnar=off *\([0-9.]*\) req\/s.*/\1/p' "$tmp/serving_bench.txt")"
-  serve_columnar_speedup="$(sed -n \
-    's/.*columnar_speedup=\([0-9.]*\)x.*/\1/p' "$tmp/serving_bench.txt")"
-  echo "  serving: cache-off ${serve_cache_off_rps} req/s columnar vs" \
-       "${serve_scalar_rps} req/s scalar (${serve_columnar_speedup}x)"
+  echo "  serving: cache-off ${serve_cache_off_rps} req/s"
   jq -n \
     --slurpfile des "$tmp/des.json" \
     --slurpfile kern "$tmp/kernels.json" \
@@ -305,8 +299,6 @@ if [ "$run_bench" -eq 1 ]; then
     --arg psp "$pool_speedup" \
     --arg ptps "$pool_tasks_per_sec" \
     --arg scor "$serve_cache_off_rps" \
-    --arg sscr "$serve_scalar_rps" \
-    --arg scsp "$serve_columnar_speedup" \
     '{des: $des[0],
       scale_fleet_hives_per_sec: ($hps | tonumber),
       checkpoint: {soa_speedup: ($cks | tonumber),
@@ -319,9 +311,7 @@ if [ "$run_bench" -eq 1 ]; then
              spawn_dispatch_us: ($sdus | tonumber),
              dispatch_speedup_vs_spawn: ($psp | tonumber),
              steal_tasks_per_sec: ($ptps | tonumber)},
-      serving: {cache_off_req_per_sec_columnar: ($scor | tonumber),
-                cache_off_req_per_sec_scalar: ($sscr | tonumber),
-                columnar_speedup: ($scsp | tonumber)},
+      serving: {cache_off_req_per_sec: ($scor | tonumber)},
       kernels: [$kern[0].benchmarks[]
                 | {name, real_time, time_unit}],
       gemm: ($kern[0].benchmarks
@@ -350,16 +340,16 @@ fi
 
 if [ "$run_sanitize" -eq 1 ]; then
   echo
-  echo "== sanitize (--sanitize): sim/fault/net tests under ASan+UBSan =="
+  echo "== sanitize (--sanitize): sim/fault/net/serve tests under ASan+UBSan =="
   cmake -B "$repo/$build-san" -S "$repo" \
     -DBEESIM_SANITIZE=address,undefined > /dev/null
   cmake --build "$repo/$build-san" -j \
     --target test_sim test_fault test_net test_checkpoint \
              test_simd test_precision test_placement_search \
-             test_cycle_memo > /dev/null
+             test_cycle_memo test_serve > /dev/null
   for t in test_sim test_fault test_net test_checkpoint \
            test_simd test_precision test_placement_search \
-           test_cycle_memo; do
+           test_cycle_memo test_serve; do
     if "$repo/$build-san/tests/$t" --gtest_brief=1 > "$tmp/$t.san.log" 2>&1
     then
       echo "  ok  $t clean under address,undefined"

@@ -144,32 +144,24 @@ class Reader {
   const std::uint8_t* end_;
 };
 
-// Per-row payload widths: every column's element size summed, in the
-// exact serialization order of the write_/read_ functions below.
-constexpr std::size_t kStatRowBytes = 8 + 5 * 8;  // n + mean/m2/sum/min/max
-constexpr std::size_t kSweepRowBytes =
-    3 * 4 + 4 * 8 + 8 + 1 + 5 * kStatRowBytes;
-constexpr std::size_t kResilienceRowBytes =
-    4 + 1 + 3 * 4 + 4 * 8 + 4 * kStatRowBytes + 6 * 8;
-constexpr std::size_t kFarmRowBytes = 8 + 3 * 8 + 3 * 8 + 4 + 3 * 8;
-
-void stat_columns_out(Writer& w, const StatColumns& s) {
-  w.column(s.n);
-  w.column(s.mean);
-  w.column(s.m2);
-  w.column(s.sum);
-  w.column(s.min);
-  w.column(s.max);
+/// Payload bytes per point: the element sizes of every column the
+/// schema visits.
+template <typename Columns>
+std::size_t row_bytes() {
+  std::size_t bytes = 0;
+  const Columns probe{};
+  Columns::for_each_column(
+      [&bytes](const auto& col) { bytes += sizeof(col[0]); }, probe);
+  return bytes;
 }
 
-void stat_columns_in(Reader& r, StatColumns& s, std::size_t count) {
-  r.column(s.n, count);
-  r.column(s.mean, count);
-  r.column(s.m2, count);
-  r.column(s.sum, count);
-  r.column(s.min, count);
-  r.column(s.max, count);
-}
+/// Sweep and resilience campaigns carry a seed and cycle target in the
+/// header and a params hash the loader must match; farm images do not.
+template <typename Columns>
+concept Campaign = requires(const Columns& c) {
+  c.seed;
+  c.cycles_target;
+};
 
 struct Header {
   CheckpointKind kind = CheckpointKind::kSweep;
@@ -295,192 +287,85 @@ void require_hash(const std::string& path, const LoadedFile& loaded,
                      ") — refusing to resume under different physics");
 }
 
-}  // namespace
-
-// ----------------------------------------------------------------- sweep
-
-void save_checkpoint(const std::string& path, const FleetColumns& columns,
-                     const Hash128& params_hash) {
+/// Writes `columns` behind a header of the given kind, one memcpy per
+/// column in the schema's order (for_each_column).
+template <typename Columns>
+void save_columns(const std::string& path, const Columns& columns,
+                  CheckpointKind kind, const Hash128& params_hash) {
   obs::ScopedTimer timer(obs::metric::kCkptSaveTime);
   Header h;
-  h.kind = CheckpointKind::kSweep;
+  h.kind = kind;
   h.points = columns.size();
-  h.seed = columns.seed;
-  h.params_hash = params_hash;
-  h.cycles_target = columns.cycles_target;
-  h.payload_bytes = columns.size() * kSweepRowBytes;
+  if constexpr (Campaign<Columns>) {
+    h.seed = columns.seed;
+    h.params_hash = params_hash;
+    h.cycles_target = columns.cycles_target;
+  }
+  h.payload_bytes = columns.size() * row_bytes<Columns>();
   FileBuilder builder(path, h);
   Writer w = builder.payload();
-  w.column(columns.clients);
-  w.column(columns.cycles_done);
-  w.column(columns.servers_used);
-  w.column(columns.rng_s0);
-  w.column(columns.rng_s1);
-  w.column(columns.rng_s2);
-  w.column(columns.rng_s3);
-  w.column(columns.rng_cached_normal);
-  w.column(columns.rng_has_cached);
-  stat_columns_out(w, columns.lost_clients);
-  stat_columns_out(w, columns.active_slots);
-  stat_columns_out(w, columns.edge_energy);
-  stat_columns_out(w, columns.cloud_energy);
-  stat_columns_out(w, columns.total_energy);
-  if (!w.full()) throw std::logic_error("checkpoint: sweep payload short");
+  Columns::for_each_column([&w](const auto& col) { w.column(col); }, columns);
+  if (!w.full())
+    throw std::logic_error(std::string("checkpoint: ") + to_string(kind) +
+                           " payload short");
   builder.seal();
 }
 
-FleetColumns load_fleet_checkpoint(const std::string& path,
-                                   const Hash128& params_hash) {
+/// Validates `path` as a checkpoint of the given kind (and, for
+/// campaigns, of the given scenario) and reads its columns back.
+template <typename Columns>
+Columns load_columns(const std::string& path, CheckpointKind kind,
+                     const Hash128& params_hash) {
   obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
   LoadedFile loaded = open_checkpoint(path);
-  require_kind(path, loaded, CheckpointKind::kSweep, kSweepRowBytes);
-  require_hash(path, loaded, params_hash);
-  FleetColumns columns;
-  columns.seed = loaded.header.seed;
-  columns.cycles_target = loaded.header.cycles_target;
+  require_kind(path, loaded, kind, row_bytes<Columns>());
+  Columns columns;
+  if constexpr (Campaign<Columns>) {
+    require_hash(path, loaded, params_hash);
+    columns.seed = loaded.header.seed;
+    columns.cycles_target = loaded.header.cycles_target;
+  }
   const auto count = static_cast<std::size_t>(loaded.header.points);
   Reader r = loaded.payload();
-  r.column(columns.clients, count);
-  r.column(columns.cycles_done, count);
-  r.column(columns.servers_used, count);
-  r.column(columns.rng_s0, count);
-  r.column(columns.rng_s1, count);
-  r.column(columns.rng_s2, count);
-  r.column(columns.rng_s3, count);
-  r.column(columns.rng_cached_normal, count);
-  r.column(columns.rng_has_cached, count);
-  stat_columns_in(r, columns.lost_clients, count);
-  stat_columns_in(r, columns.active_slots, count);
-  stat_columns_in(r, columns.edge_energy, count);
-  stat_columns_in(r, columns.cloud_energy, count);
-  stat_columns_in(r, columns.total_energy, count);
-  if (!r.drained()) throw std::logic_error("checkpoint: sweep payload long");
+  Columns::for_each_column([&r, count](auto& col) { r.column(col, count); },
+                           columns);
+  if (!r.drained())
+    throw std::logic_error(std::string("checkpoint: ") + to_string(kind) +
+                           " payload long");
   return columns;
 }
 
-// ------------------------------------------------------------ resilience
+}  // namespace
+
+void save_checkpoint(const std::string& path, const FleetColumns& columns,
+                     const Hash128& params_hash) {
+  save_columns(path, columns, CheckpointKind::kSweep, params_hash);
+}
 
 void save_checkpoint(const std::string& path,
                      const ResilienceColumns& columns,
                      const Hash128& params_hash) {
-  obs::ScopedTimer timer(obs::metric::kCkptSaveTime);
-  Header h;
-  h.kind = CheckpointKind::kResilience;
-  h.points = columns.size();
-  h.seed = columns.seed;
-  h.params_hash = params_hash;
-  h.cycles_target = columns.cycles_target;
-  h.payload_bytes = columns.size() * kResilienceRowBytes;
-  FileBuilder builder(path, h);
-  Writer w = builder.payload();
-  w.column(columns.clients);
-  w.column(columns.done);
-  w.column(columns.servers_used);
-  w.column(columns.degraded_cycles);
-  w.column(columns.edge_fallback_cycles);
-  w.column(columns.fallback_client_cycles);
-  w.column(columns.shed_client_cycles);
-  w.column(columns.browned_client_cycles);
-  w.column(columns.sensor_mute_client_cycles);
-  stat_columns_out(w, columns.lost_clients);
-  stat_columns_out(w, columns.edge_energy);
-  stat_columns_out(w, columns.cloud_energy);
-  stat_columns_out(w, columns.total_energy);
-  w.column(columns.bytes_generated);
-  w.column(columns.bytes_served);
-  w.column(columns.bytes_recovered);
-  w.column(columns.bytes_dropped);
-  w.column(columns.bytes_pending);
-  w.column(columns.bytes_lost);
-  if (!w.full())
-    throw std::logic_error("checkpoint: resilience payload short");
-  builder.seal();
+  save_columns(path, columns, CheckpointKind::kResilience, params_hash);
+}
+
+void save_checkpoint(const std::string& path, const FarmColumns& columns) {
+  save_columns(path, columns, CheckpointKind::kFarm, {});
+}
+
+FleetColumns load_fleet_checkpoint(const std::string& path,
+                                   const Hash128& params_hash) {
+  return load_columns<FleetColumns>(path, CheckpointKind::kSweep,
+                                    params_hash);
 }
 
 ResilienceColumns load_resilience_checkpoint(const std::string& path,
                                              const Hash128& params_hash) {
-  obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
-  LoadedFile loaded = open_checkpoint(path);
-  require_kind(path, loaded, CheckpointKind::kResilience,
-               kResilienceRowBytes);
-  require_hash(path, loaded, params_hash);
-  ResilienceColumns columns;
-  columns.seed = loaded.header.seed;
-  columns.cycles_target = loaded.header.cycles_target;
-  const auto count = static_cast<std::size_t>(loaded.header.points);
-  Reader r = loaded.payload();
-  r.column(columns.clients, count);
-  r.column(columns.done, count);
-  r.column(columns.servers_used, count);
-  r.column(columns.degraded_cycles, count);
-  r.column(columns.edge_fallback_cycles, count);
-  r.column(columns.fallback_client_cycles, count);
-  r.column(columns.shed_client_cycles, count);
-  r.column(columns.browned_client_cycles, count);
-  r.column(columns.sensor_mute_client_cycles, count);
-  stat_columns_in(r, columns.lost_clients, count);
-  stat_columns_in(r, columns.edge_energy, count);
-  stat_columns_in(r, columns.cloud_energy, count);
-  stat_columns_in(r, columns.total_energy, count);
-  r.column(columns.bytes_generated, count);
-  r.column(columns.bytes_served, count);
-  r.column(columns.bytes_recovered, count);
-  r.column(columns.bytes_dropped, count);
-  r.column(columns.bytes_pending, count);
-  r.column(columns.bytes_lost, count);
-  if (!r.drained())
-    throw std::logic_error("checkpoint: resilience payload long");
-  return columns;
-}
-
-// ------------------------------------------------------------------ farm
-
-void save_checkpoint(const std::string& path, const FarmColumns& columns) {
-  obs::ScopedTimer timer(obs::metric::kCkptSaveTime);
-  Header h;
-  h.kind = CheckpointKind::kFarm;
-  h.points = columns.size();
-  h.seed = 0;
-  h.params_hash = {};
-  h.cycles_target = 0;
-  h.payload_bytes = columns.size() * kFarmRowBytes;
-  FileBuilder builder(path, h);
-  Writer w = builder.payload();
-  w.column(columns.battery_level);
-  w.column(columns.wakeups_attempted);
-  w.column(columns.wakeups_completed);
-  w.column(columns.wakeups_skipped);
-  w.column(columns.outage_time);
-  w.column(columns.harvested);
-  w.column(columns.consumed);
-  w.column(columns.regime_transitions);
-  w.column(columns.wakeups_degraded);
-  w.column(columns.wakeups_muted);
-  w.column(columns.events_executed);
-  if (!w.full()) throw std::logic_error("checkpoint: farm payload short");
-  builder.seal();
+  return load_columns<ResilienceColumns>(path, CheckpointKind::kResilience,
+                                         params_hash);
 }
 
 FarmColumns load_farm_checkpoint(const std::string& path) {
-  obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
-  LoadedFile loaded = open_checkpoint(path);
-  require_kind(path, loaded, CheckpointKind::kFarm, kFarmRowBytes);
-  FarmColumns columns;
-  const auto count = static_cast<std::size_t>(loaded.header.points);
-  Reader r = loaded.payload();
-  r.column(columns.battery_level, count);
-  r.column(columns.wakeups_attempted, count);
-  r.column(columns.wakeups_completed, count);
-  r.column(columns.wakeups_skipped, count);
-  r.column(columns.outage_time, count);
-  r.column(columns.harvested, count);
-  r.column(columns.consumed, count);
-  r.column(columns.regime_transitions, count);
-  r.column(columns.wakeups_degraded, count);
-  r.column(columns.wakeups_muted, count);
-  r.column(columns.events_executed, count);
-  if (!r.drained()) throw std::logic_error("checkpoint: farm payload long");
-  return columns;
+  return load_columns<FarmColumns>(path, CheckpointKind::kFarm, {});
 }
 
 // --------------------------------------------------------------- helpers

@@ -55,6 +55,39 @@ void StatColumns::set(std::size_t i, const util::RunningStats& s) {
   max[i] = raw.max;
 }
 
+// ------------------------------------------------------- shared helpers
+
+namespace {
+
+/// Sizes every column of a campaign to `count` empty rows: zeros, with
+/// each statistic's min/max at an empty accumulator's +/-inf sentinels.
+template <typename Columns>
+void size_campaign(Columns& c, std::size_t count) {
+  Columns::for_each_column([count](auto& col) { col.assign(count, {}); }, c);
+  Columns::for_each_stat([count](StatColumns& s) { s.reset(count); }, c);
+}
+
+[[noreturn]] void merge_mismatch(const char* what) {
+  throw std::invalid_argument(std::string("merge_from: campaigns differ: ") +
+                              what);
+}
+
+template <typename Columns>
+void require_same_campaign(const Columns& a, const Columns& b) {
+  if (a.seed != b.seed) merge_mismatch("seed");
+  if (a.cycles_target != b.cycles_target) merge_mismatch("cycle target");
+  if (a.clients != b.clients) merge_mismatch("client counts");
+}
+
+/// Overwrites row `i` of every column of `to` with row `i` of `from`.
+template <typename Columns>
+void copy_row(Columns& to, const Columns& from, std::size_t i) {
+  Columns::for_each_column([i](auto& dst, const auto& src) { dst[i] = src[i]; },
+                           to, from);
+}
+
+}  // namespace
+
 // ----------------------------------------------------------- FleetColumns
 
 FleetColumns FleetColumns::start(const std::vector<int>& client_counts,
@@ -64,22 +97,8 @@ FleetColumns FleetColumns::start(const std::vector<int>& client_counts,
   FleetColumns c;
   c.seed = seed;
   c.cycles_target = cycles_per_point;
-  const std::size_t count = client_counts.size();
-  c.clients.resize(count);
-  c.cycles_done.assign(count, 0);
-  c.servers_used.assign(count, 0);
-  c.rng_s0.resize(count);
-  c.rng_s1.resize(count);
-  c.rng_s2.resize(count);
-  c.rng_s3.resize(count);
-  c.rng_cached_normal.assign(count, 0.0);
-  c.rng_has_cached.assign(count, 0);
-  c.lost_clients.reset(count);
-  c.active_slots.reset(count);
-  c.edge_energy.reset(count);
-  c.cloud_energy.reset(count);
-  c.total_energy.reset(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  size_campaign(c, client_counts.size());
+  for (std::size_t i = 0; i < client_counts.size(); ++i) {
     if (client_counts[i] < 0)
       throw std::invalid_argument("FleetColumns: negative clients");
     c.clients[i] = client_counts[i];
@@ -152,32 +171,13 @@ std::vector<SweepPoint> FleetColumns::points() const {
   return out;
 }
 
-namespace {
-
-[[noreturn]] void merge_mismatch(const char* what) {
-  throw std::invalid_argument(std::string("merge_from: campaigns differ: ") +
-                              what);
-}
-
-}  // namespace
-
 void FleetColumns::merge_from(const FleetColumns& other) {
-  if (seed != other.seed) merge_mismatch("seed");
-  if (cycles_target != other.cycles_target) merge_mismatch("cycle target");
-  if (clients != other.clients) merge_mismatch("client counts");
+  require_same_campaign(*this, other);
   for (std::size_t i = 0; i < size(); ++i) {
     // Points are independent (seed, clients)-addressed streams, so the
     // side that has simulated further holds exactly the state one
     // uninterrupted run would hold — take it wholesale.
-    if (other.cycles_done[i] <= cycles_done[i]) continue;
-    cycles_done[i] = other.cycles_done[i];
-    servers_used[i] = other.servers_used[i];
-    set_rng_state(i, other.rng_state(i));
-    lost_clients.set(i, other.lost_clients.stats(i));
-    active_slots.set(i, other.active_slots.stats(i));
-    edge_energy.set(i, other.edge_energy.stats(i));
-    cloud_energy.set(i, other.cloud_energy.stats(i));
-    total_energy.set(i, other.total_energy.stats(i));
+    if (other.cycles_done[i] > cycles_done[i]) copy_row(*this, other, i);
   }
 }
 
@@ -278,31 +278,12 @@ ResilienceColumns ResilienceColumns::start(
   ResilienceColumns c;
   c.seed = seed;
   c.cycles_target = cycles_per_point;
-  const std::size_t count = client_counts.size();
-  c.clients.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  size_campaign(c, client_counts.size());
+  for (std::size_t i = 0; i < client_counts.size(); ++i) {
     if (client_counts[i] < 0)
       throw std::invalid_argument("ResilienceColumns: negative clients");
     c.clients[i] = client_counts[i];
   }
-  c.done.assign(count, 0);
-  c.servers_used.assign(count, 0);
-  c.degraded_cycles.assign(count, 0);
-  c.edge_fallback_cycles.assign(count, 0);
-  c.fallback_client_cycles.assign(count, 0);
-  c.shed_client_cycles.assign(count, 0);
-  c.browned_client_cycles.assign(count, 0);
-  c.sensor_mute_client_cycles.assign(count, 0);
-  c.lost_clients.reset(count);
-  c.edge_energy.reset(count);
-  c.cloud_energy.reset(count);
-  c.total_energy.reset(count);
-  c.bytes_generated.assign(count, 0.0);
-  c.bytes_served.assign(count, 0.0);
-  c.bytes_recovered.assign(count, 0.0);
-  c.bytes_dropped.assign(count, 0.0);
-  c.bytes_pending.assign(count, 0.0);
-  c.bytes_lost.assign(count, 0.0);
   return c;
 }
 
@@ -372,13 +353,9 @@ void ResilienceColumns::set_point(std::size_t i, const ResiliencePoint& p) {
 }
 
 void ResilienceColumns::merge_from(const ResilienceColumns& other) {
-  if (seed != other.seed) merge_mismatch("seed");
-  if (cycles_target != other.cycles_target) merge_mismatch("cycle target");
-  if (clients != other.clients) merge_mismatch("client counts");
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (done[i] != 0 || other.done[i] == 0) continue;
-    set_point(i, other.point(i));
-  }
+  require_same_campaign(*this, other);
+  for (std::size_t i = 0; i < size(); ++i)
+    if (done[i] == 0 && other.done[i] != 0) copy_row(*this, other, i);
 }
 
 bool ResilientFleet::advance(ResilienceColumns& columns, int max_points,
@@ -417,17 +394,7 @@ bool ResilientFleet::advance(ResilienceColumns& columns, int max_points,
 // ------------------------------------------------------------ FarmColumns
 
 void FarmColumns::resize(std::size_t count) {
-  battery_level.assign(count, 0.0);
-  wakeups_attempted.assign(count, 0);
-  wakeups_completed.assign(count, 0);
-  wakeups_skipped.assign(count, 0);
-  outage_time.assign(count, 0.0);
-  harvested.assign(count, 0.0);
-  consumed.assign(count, 0.0);
-  regime_transitions.assign(count, 0);
-  wakeups_degraded.assign(count, 0);
-  wakeups_muted.assign(count, 0);
-  events_executed.assign(count, 0);
+  for_each_column([count](auto& col) { col.assign(count, {}); }, *this);
 }
 
 FarmColumns FarmColumns::from_runs(const std::vector<hive::HiveRun>& runs) {

@@ -39,6 +39,18 @@ struct StatColumns {
   void set(std::size_t i, const util::RunningStats& s);
 
   std::size_t size() const noexcept { return n.size(); }
+
+  /// Calls fn(s.column...) once per Welford column, in checkpoint file
+  /// order (n, mean, m2, sum, min, max), walking every `s` in lockstep.
+  template <typename Fn, typename... S>
+  static void for_each_column(Fn&& fn, S&... s) {
+    fn(s.n...);
+    fn(s.mean...);
+    fn(s.m2...);
+    fn(s.sum...);
+    fn(s.min...);
+    fn(s.max...);
+  }
 };
 
 /// Columnar campaign state of one LargeScaleSimulator sweep — the SoA
@@ -108,6 +120,35 @@ struct FleetColumns {
   /// exactly the uninterrupted campaign because points are independent
   /// streams.
   void merge_from(const FleetColumns& other);
+
+  /// The schema: calls fn(c.column...) once per persisted per-point
+  /// column, in checkpoint file order (docs/CHECKPOINT.md), with each
+  /// statistic expanded into its six Welford columns. One instance is
+  /// sized, saved or loaded through it; two walk in lockstep for a merge.
+  /// A column listed here is persisted, sized and merged by construction.
+  template <typename Fn, typename... C>
+  static void for_each_column(Fn&& fn, C&... c) {
+    fn(c.clients...);
+    fn(c.cycles_done...);
+    fn(c.servers_used...);
+    fn(c.rng_s0...);
+    fn(c.rng_s1...);
+    fn(c.rng_s2...);
+    fn(c.rng_s3...);
+    fn(c.rng_cached_normal...);
+    fn(c.rng_has_cached...);
+    for_each_stat(
+        [&fn](auto&... s) { StatColumns::for_each_column(fn, s...); }, c...);
+  }
+  /// Calls fn(c.statistic...) once per StatColumns member, in file order.
+  template <typename Fn, typename... C>
+  static void for_each_stat(Fn&& fn, C&... c) {
+    fn(c.lost_clients...);
+    fn(c.active_slots...);
+    fn(c.edge_energy...);
+    fn(c.cloud_energy...);
+    fn(c.total_energy...);
+  }
 };
 
 /// Columnar campaign state of one ResilientFleet sweep. Resilience points
@@ -156,6 +197,36 @@ struct ResilienceColumns {
   /// point beats a pending one, two done points must agree on nothing —
   /// the first side wins (streams make both sides identical anyway).
   void merge_from(const ResilienceColumns& other);
+
+  /// The schema, as FleetColumns::for_each_column.
+  template <typename Fn, typename... C>
+  static void for_each_column(Fn&& fn, C&... c) {
+    fn(c.clients...);
+    fn(c.done...);
+    fn(c.servers_used...);
+    fn(c.degraded_cycles...);
+    fn(c.edge_fallback_cycles...);
+    fn(c.fallback_client_cycles...);
+    fn(c.shed_client_cycles...);
+    fn(c.browned_client_cycles...);
+    fn(c.sensor_mute_client_cycles...);
+    for_each_stat(
+        [&fn](auto&... s) { StatColumns::for_each_column(fn, s...); }, c...);
+    fn(c.bytes_generated...);
+    fn(c.bytes_served...);
+    fn(c.bytes_recovered...);
+    fn(c.bytes_dropped...);
+    fn(c.bytes_pending...);
+    fn(c.bytes_lost...);
+  }
+  /// Calls fn(c.statistic...) once per StatColumns member, in file order.
+  template <typename Fn, typename... C>
+  static void for_each_stat(Fn&& fn, C&... c) {
+    fn(c.lost_clients...);
+    fn(c.edge_energy...);
+    fn(c.cloud_energy...);
+    fn(c.total_energy...);
+  }
 };
 
 /// Columnar image of a DES farm run (hive::run_hives_parallel) — one
@@ -181,6 +252,22 @@ struct FarmColumns {
 
   std::size_t size() const noexcept { return battery_level.size(); }
   void resize(std::size_t count);
+
+  /// The schema, as FleetColumns::for_each_column.
+  template <typename Fn, typename... C>
+  static void for_each_column(Fn&& fn, C&... c) {
+    fn(c.battery_level...);
+    fn(c.wakeups_attempted...);
+    fn(c.wakeups_completed...);
+    fn(c.wakeups_skipped...);
+    fn(c.outage_time...);
+    fn(c.harvested...);
+    fn(c.consumed...);
+    fn(c.regime_transitions...);
+    fn(c.wakeups_degraded...);
+    fn(c.wakeups_muted...);
+    fn(c.events_executed...);
+  }
 };
 
 }  // namespace beesim::core

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/fleet_columns.hpp"
 #include "obs/catalog.hpp"
 #include "util/parallel.hpp"
 
@@ -229,33 +230,9 @@ CycleResult LargeScaleSimulator::simulate_ideal_cycle(int clients) const {
 std::vector<SweepPoint> LargeScaleSimulator::sweep(
     const std::vector<int>& client_counts, std::uint64_t seed,
     int cycles_per_point, unsigned threads) const {
-  if (cycles_per_point < 1)
-    throw std::invalid_argument("sweep: cycles_per_point < 1");
-  std::vector<SweepPoint> out(client_counts.size());
-  util::parallel_for(
-      client_counts.size(),
-      [&](std::size_t i) {
-        const int n = client_counts[i];
-        // Stream keyed by the fleet size, not the sweep position: the
-        // n=400 result is identical whether the sweep is {400} or
-        // {100, 200, 300, 400} (regression-tested).
-        util::Rng rng =
-            util::Rng::for_stream(seed, static_cast<std::uint64_t>(n));
-        SweepPoint& point = out[i];
-        point.initial_clients = n;
-        point.cycles = cycles_per_point;
-        CycleMemo memo;
-        for (int c = 0; c < cycles_per_point; ++c) {
-          const CycleResult r = simulate_cycle(n, rng, &memo);
-          point.servers_used = std::max(point.servers_used, r.servers_used);
-          point.lost_clients.add(static_cast<double>(r.lost_clients));
-          point.active_slots.add(static_cast<double>(r.active_slots));
-          point.edge_energy.add(r.edge_energy);
-          point.cloud_energy.add(r.cloud_energy);
-          point.total_energy.add(r.edge_energy + r.cloud_energy);
-        }
-      },
-      threads);
+  FleetColumns columns =
+      FleetColumns::start(client_counts, seed, cycles_per_point);
+  advance(columns, 0, threads);
   if (obs::enabled()) {
     static auto& points =
         obs::registry().counter(obs::metric::kFleetSweepPoints);
@@ -267,7 +244,7 @@ std::vector<SweepPoint> LargeScaleSimulator::sweep(
         std::max<std::size_t>(client_counts.size(), 1));
     sweep_threads.set(static_cast<double>(used));
   }
-  return out;
+  return columns.points();
 }
 
 std::vector<int> client_range(int lo, int hi, int step) {

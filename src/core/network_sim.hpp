@@ -98,8 +98,8 @@ class LargeScaleSimulator {
   explicit LargeScaleSimulator(FleetParams params);
 
   /// One cycle with `clients` deployed beehives. Always recomputes the
-  /// cloud side — the plain oracle the memoized point loops of sweep(),
-  /// advance() and ResilientFleet are tested against.
+  /// cloud side — the plain oracle the memoized point loops of advance()
+  /// (and so sweep()) and ResilientFleet are tested against.
   CycleResult simulate_cycle(int clients, util::Rng& rng) const;
 
   /// One cycle without any stochastic loss (ignores loss model C). The
@@ -109,11 +109,13 @@ class LargeScaleSimulator {
 
   /// Sweeps a range of fleet sizes; each point runs `cycles_per_point`
   /// cycles and accumulates statistics (loss C makes single cycles
-  /// noisy). Points run under util::parallel_for (`threads` = 0 picks
-  /// hardware concurrency, 1 runs inline), and every point derives its
-  /// own RNG stream from (seed, fleet size) — results are bit-identical
-  /// across thread counts AND across sweep ranges: the point at n=400 is
-  /// the same whether the sweep is {400} or {100, ..., 400}.
+  /// noisy). This is the uninterrupted columnar campaign:
+  /// FleetColumns::start, one advance() to completion, points(). Points
+  /// run under util::parallel_for (`threads` = 0 picks hardware
+  /// concurrency, 1 runs inline), and every point derives its own RNG
+  /// stream from (seed, fleet size) — results are bit-identical across
+  /// thread counts AND across sweep ranges: the point at n=400 is the
+  /// same whether the sweep is {400} or {100, ..., 400}.
   std::vector<SweepPoint> sweep(const std::vector<int>& client_counts,
                                 std::uint64_t seed, int cycles_per_point = 1,
                                 unsigned threads = 0) const;

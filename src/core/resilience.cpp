@@ -5,9 +5,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/fleet_columns.hpp"
 #include "hive/services.hpp"
 #include "obs/catalog.hpp"
-#include "util/parallel.hpp"
 
 namespace beesim::core {
 
@@ -35,52 +35,121 @@ double ResiliencePoint::cloud_per_client() const noexcept {
              : 0.0;
 }
 
+namespace {
+
+/// The policy's own preconditions; throws the constructor's messages.
+void check_policy(const ResiliencePolicy& policy) {
+  if (policy.buffer_bytes_per_client < 0.0)
+    throw std::invalid_argument("ResilientFleet: negative buffer bound");
+  if (policy.upload_bytes_per_client <= 0.0)
+    throw std::invalid_argument("ResilientFleet: non-positive upload size");
+  if (policy.upload_energy_per_payload < 0.0)
+    throw std::invalid_argument("ResilientFleet: negative upload energy");
+  if (policy.catchup_factor < 0.0)
+    throw std::invalid_argument("ResilientFleet: negative catchup factor");
+  if (!std::isfinite(policy.outage_loss_tolerance) ||
+      policy.outage_loss_tolerance < 0.0 ||
+      policy.outage_loss_tolerance > 1.0)
+    throw std::invalid_argument(
+        "ResilientFleet: outage_loss_tolerance outside [0, 1]");
+  policy.search.validate();
+  for (const auto& cls : policy.classes) cls.validate();
+}
+
+/// Whether the beam optimizer decides the outage reaction. All the
+/// greedy-identical regimes (kGreedy, no classes, tolerance 0) skip it.
+bool consults_beam(const ResiliencePolicy& policy) {
+  return policy.optimizer == PlacementOptimizer::kBeam &&
+         policy.edge_fallback && !policy.classes.empty() &&
+         policy.outage_loss_tolerance > 0.0;
+}
+
+/// The outage-regime placement search: the policy's device classes with
+/// the cloud marked unavailable and the single fallback service. Its
+/// constructor validates the class list.
+PlacementSearch outage_search(const FleetParams& params,
+                              const ResiliencePolicy& policy,
+                              ServiceModel service) {
+  const hive::ServiceSpec fallback_service =
+      service == ServiceModel::kCnn ? hive::services::queen_detection_cnn()
+                                    : hive::services::queen_detection_svm();
+  OrchestratorOptions base_opts;
+  base_opts.max_parallel = params.server.max_parallel;
+  base_opts.cycle = params.client.period;
+  FleetSearchOptions search = policy.search;
+  search.cloud_available = false;  // nothing reaches the cloud anyway
+  return PlacementSearch(policy.classes, {fallback_service}, base_opts,
+                         search);
+}
+
+/// A connected cycle running below full capacity or bandwidth.
+bool runs_degraded(const fault::CycleFaults& f) {
+  return !f.link_outage && !f.cloud_outage &&
+         (f.cloud_capacity_factor < 1.0 || f.link_bandwidth_factor < 1.0);
+}
+
+/// The reduced-capacity geometry of a degraded cycle: a brownout leaves
+/// only a fraction of the slot's parallelism; a degraded link stretches
+/// every slot's receive window.
+FleetParams degraded_params(FleetParams p, const fault::CycleFaults& f) {
+  p.server.max_parallel = std::max(
+      1, static_cast<int>(std::floor(
+             static_cast<double>(p.server.max_parallel) *
+             f.cloud_capacity_factor)));
+  p.server.receive_time /= f.link_bandwidth_factor;
+  return p;
+}
+
+}  // namespace
+
+bool ResilientFleet::valid(const FleetParams& params,
+                           const fault::FaultPlan& plan,
+                           const ResiliencePolicy& policy,
+                           ServiceModel service) noexcept {
+  if (!params.valid()) return false;
+  try {
+    check_policy(policy);
+    if (consults_beam(policy)) (void)outage_search(params, policy, service);
+    // Only brownout and degraded-link windows produce siblings: skip
+    // compiling the timeline of a plan without them (serve admission
+    // runs this on every resilience request).
+    const auto& windows = plan.windows();
+    if (std::none_of(windows.begin(), windows.end(),
+                     [](const fault::FaultWindow& w) {
+                       return w.kind == fault::FaultKind::kCloudBrownout ||
+                              w.kind == fault::FaultKind::kLinkDegraded;
+                     }))
+      return true;
+    const fault::FaultInjector injector(plan);
+    for (int c = 0; c < injector.horizon(); ++c) {
+      const fault::CycleFaults& f = injector.at(c);
+      if (runs_degraded(f) && !degraded_params(params, f).valid())
+        return false;
+    }
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
 ResilientFleet::ResilientFleet(FleetParams params, fault::FaultPlan plan,
                                ResiliencePolicy policy, ServiceModel service)
     : base_(std::move(params)), plan_(std::move(plan)), injector_(plan_),
       policy_(policy) {
-  if (policy_.buffer_bytes_per_client < 0.0)
-    throw std::invalid_argument("ResilientFleet: negative buffer bound");
-  if (policy_.upload_bytes_per_client <= 0.0)
-    throw std::invalid_argument("ResilientFleet: non-positive upload size");
-  if (policy_.upload_energy_per_payload < 0.0)
-    throw std::invalid_argument("ResilientFleet: negative upload energy");
-  if (policy_.catchup_factor < 0.0)
-    throw std::invalid_argument("ResilientFleet: negative catchup factor");
-  if (!std::isfinite(policy_.outage_loss_tolerance) ||
-      policy_.outage_loss_tolerance < 0.0 ||
-      policy_.outage_loss_tolerance > 1.0)
-    throw std::invalid_argument(
-        "ResilientFleet: outage_loss_tolerance outside [0, 1]");
-  policy_.search.validate();
-  for (const auto& cls : policy_.classes) cls.validate();
+  check_policy(policy_);
   edge_fallback_energy_ =
       ClientSpec::smart_beehive(Placement::kEdgeOnly, service,
                                 base_.params().client.period)
           .cycle_energy();
   // Beam optimizer: decide the outage reaction once, at construction.
-  // The search runs over the policy's device classes with the cloud
-  // marked unavailable (the outage regime) and the single fallback
-  // service; the cheapest frontier point within the loss tolerance tells
-  // us which fleet fraction sleeps instead of running local inference.
-  // All the greedy-identical regimes (kGreedy, no classes, tolerance 0)
-  // leave the fraction at 0, and the per-cycle path below never branches
-  // — the empty-plan bit-identity contract is untouched.
-  if (policy_.optimizer == PlacementOptimizer::kBeam &&
-      policy_.edge_fallback && !policy_.classes.empty() &&
-      policy_.outage_loss_tolerance > 0.0) {
-    const hive::ServiceSpec fallback_service =
-        service == ServiceModel::kCnn
-            ? hive::services::queen_detection_cnn()
-            : hive::services::queen_detection_svm();
-    OrchestratorOptions base_opts;
-    base_opts.max_parallel = base_.params().server.max_parallel;
-    base_opts.cycle = base_.params().client.period;
-    FleetSearchOptions search = policy_.search;
-    search.cloud_available = false;  // nothing reaches the cloud anyway
-    PlacementSearch optimizer(policy_.classes, {fallback_service},
-                              base_opts, search);
-    const ParetoFrontier frontier = optimizer.search();
+  // The cheapest frontier point of the outage search within the loss
+  // tolerance tells us which fleet fraction sleeps instead of running
+  // local inference. The greedy-identical regimes leave the fraction at
+  // 0, and the per-cycle path below never branches — the empty-plan
+  // bit-identity contract is untouched.
+  if (consults_beam(policy_)) {
+    const ParetoFrontier frontier =
+        outage_search(base_.params(), policy_, service).search();
     if (const FleetAssignment* pick =
             frontier.points.empty()
                 ? nullptr
@@ -103,22 +172,20 @@ ResilientFleet::ResilientFleet(FleetParams params, fault::FaultPlan plan,
   // plan validation, not a mid-run surprise.
   for (int c = 0; c < injector_.horizon(); ++c) {
     const fault::CycleFaults& f = injector_.at(c);
-    if (f.link_outage || f.cloud_outage) continue;
-    if (f.cloud_capacity_factor >= 1.0 && f.link_bandwidth_factor >= 1.0)
-      continue;
+    if (!runs_degraded(f)) continue;
     const auto key =
         std::make_pair(f.cloud_capacity_factor, f.link_bandwidth_factor);
     if (degraded_.count(key) != 0) continue;
-    FleetParams p = base_.params();
-    // A brownout leaves only a fraction of the slot's parallelism; a
-    // degraded link stretches every slot's receive window.
-    p.server.max_parallel = std::max(
-        1, static_cast<int>(std::floor(
-               static_cast<double>(p.server.max_parallel) *
-               f.cloud_capacity_factor)));
-    p.server.receive_time /= f.link_bandwidth_factor;
-    degraded_.emplace(key,
-                      std::make_shared<const LargeScaleSimulator>(std::move(p)));
+    degraded_.emplace(key, std::make_shared<const LargeScaleSimulator>(
+                               degraded_params(base_.params(), f)));
+  }
+  if (obs::enabled()) {
+    static auto& windows =
+        obs::registry().counter(obs::metric::kFaultWindowsScheduled);
+    static auto& cycles =
+        obs::registry().counter(obs::metric::kFaultCyclesFaulted);
+    windows.inc(plan_.windows().size());
+    cycles.inc(static_cast<std::uint64_t>(injector_.faulted_cycles()));
   }
 }
 
@@ -321,22 +388,10 @@ void ResilientFleet::simulate_faulted_cycle(
 std::vector<ResiliencePoint> ResilientFleet::sweep(
     const std::vector<int>& client_counts, std::uint64_t seed,
     int cycles_per_point, unsigned threads) const {
-  if (cycles_per_point < 1)
-    throw std::invalid_argument("ResilientFleet: cycles_per_point < 1");
-  std::vector<ResiliencePoint> out(client_counts.size());
-  util::parallel_for(
-      client_counts.size(),
-      [&](std::size_t i) {
-        const int n = client_counts[i];
-        // Same stream keying as LargeScaleSimulator::sweep: (seed, fleet
-        // size), so empty-plan sweeps are bit-identical to the base and
-        // any sweep is invariant across thread counts and sweep ranges.
-        util::Rng rng =
-            util::Rng::for_stream(seed, static_cast<std::uint64_t>(n));
-        out[i] = run_point(n, cycles_per_point, rng);
-      },
-      threads);
-  return out;
+  ResilienceColumns columns =
+      ResilienceColumns::start(client_counts, seed, cycles_per_point);
+  advance(columns, 0, threads);
+  return columns.points();
 }
 
 }  // namespace beesim::core

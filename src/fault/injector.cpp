@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/catalog.hpp"
-
 namespace beesim::fault {
 
 FaultInjector::FaultInjector(const FaultPlan& plan) {
@@ -38,14 +36,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan) {
   }
   for (const auto& f : timeline_)
     if (f.any()) ++faulted_;
-  if (obs::enabled()) {
-    static auto& windows =
-        obs::registry().counter(obs::metric::kFaultWindowsScheduled);
-    static auto& cycles =
-        obs::registry().counter(obs::metric::kFaultCyclesFaulted);
-    windows.inc(plan.windows().size());
-    cycles.inc(static_cast<std::uint64_t>(faulted_));
-  }
 }
 
 const CycleFaults& FaultInjector::at(int cycle) const noexcept {

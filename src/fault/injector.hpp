@@ -35,8 +35,9 @@ struct CycleFaults {
 /// Compiles a FaultPlan into a per-cycle timeline for O(1) lookups on the
 /// slot clock. The injector is immutable and shared-state free, so one
 /// instance may serve many threads (sweep points) concurrently; cycles
-/// past the plan's horizon read as fault-free. Construction records the
-/// `fault.windows_scheduled` / `fault.cycles_faulted` metrics.
+/// past the plan's horizon read as fault-free. Construction records no
+/// metrics (core::ResilientFleet counts the plans it compiles), so it is
+/// free to compile a plan just to inspect it.
 class FaultInjector {
  public:
   /// Compiles `plan`; throws only if the plan itself was invalid.

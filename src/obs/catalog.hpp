@@ -194,11 +194,6 @@ inline constexpr const char* kServeCacheEvictions =
 inline constexpr const char* kServeCacheExpirations =
     "serve.cache.expirations";
 inline constexpr const char* kServeBatchWidth = "serve.batch.width";
-// Points computed through the batched columnar path (one pool-parallel
-// FleetColumns/ResilienceColumns advance per coalesced scenario group)
-// rather than a per-request scalar sweep (docs/SERVING.md).
-inline constexpr const char* kServeBatchColumnarPoints =
-    "serve.batch.columnar_points";
 inline constexpr const char* kServeQueuePeakDepth =
     "serve.queue.peak_depth";
 

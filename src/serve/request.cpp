@@ -78,12 +78,16 @@ bool valid(const Request& request) noexcept {
   if (counts.empty() || request.cycles_per_point() < 1) return false;
   for (int n : counts)
     if (n < 1) return false;
-  // Physics the simulator constructor would throw on — on a serve worker
-  // thread, which would take the whole process down.
+  // Whatever the simulator (or fleet) constructor would throw on — on a
+  // serve worker thread, which would take the whole process down.
   switch (request.kind) {
     case RequestKind::kSweep: return request.sweep.params.valid();
     case RequestKind::kWhatIf: return request.what_if.params.valid();
-    case RequestKind::kResilience: return request.resilience.params.valid();
+    case RequestKind::kResilience: {
+      const ResilienceRequest& r = request.resilience;
+      return core::ResilientFleet::valid(r.params, r.plan, r.policy,
+                                         r.service);
+    }
   }
   return false;
 }

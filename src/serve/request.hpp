@@ -84,8 +84,10 @@ struct Request {
 
 /// True when the request is well-formed: at least one fleet size, every
 /// fleet size >= 1, cycles_per_point >= 1, and fleet params the simulator
-/// accepts (core::FleetParams::valid). Malformed requests are rejected at
-/// admission with `Admission::kRejectedInvalid`.
+/// accepts (core::FleetParams::valid) — for resilience requests, params,
+/// plan and policy the fleet accepts (core::ResilientFleet::valid).
+/// Malformed requests are rejected at admission with
+/// `Admission::kRejectedInvalid`.
 bool valid(const Request& request) noexcept;
 
 /// The request's *scenario group* hash: everything that defines its

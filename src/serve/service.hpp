@@ -59,14 +59,6 @@ class SimulationService {
     /// resident forever. Evictions never change results: a re-computed
     /// point is bit-identical to the evicted one.
     std::size_t cache_capacity = PointCache::kDefaultCapacity;
-    /// When true, each coalesced (scenario group, missing fleet sizes)
-    /// batch is computed through one columnar campaign —
-    /// FleetColumns/ResilienceColumns::start + a pool-parallel advance()
-    /// over the SoA state — instead of a serial per-request sweep().
-    /// Per-(seed, size) RNG streams make every cache entry and response
-    /// bit-identical to the scalar path (tested in tests/test_serve.cpp);
-    /// false is the baseline the serving_load bench compares against.
-    bool columnar_batching = true;
   };
 
   /// The outcome of one submit: a typed admission decision, plus (only

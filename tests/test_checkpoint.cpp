@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/resilience.hpp"
 #include "fault/injector.hpp"
 #include "hive/farm.hpp"
+#include "oracle.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -140,7 +142,7 @@ TEST(StatColumns, EmptyAccumulatorRoundtrips) {
 TEST(FleetColumns, AdvanceMatchesSweepBitForBit) {
   const core::LargeScaleSimulator sim(lossy_params());
   const std::vector<int> counts = {50, 120, 200};
-  const auto reference = sim.sweep(counts, 7, 6, 1);
+  const auto reference = oracle::sweep(sim, counts, 7, 6);
 
   FleetColumns columns = FleetColumns::start(counts, 7, 6);
   EXPECT_FALSE(columns.complete());
@@ -156,7 +158,7 @@ TEST(FleetColumns, AdvanceMatchesSweepBitForBit) {
 TEST(FleetColumns, MidPointStopsStillLandBitIdentical) {
   const core::LargeScaleSimulator sim(lossy_params());
   const std::vector<int> counts = {80, 160};
-  const auto reference = sim.sweep(counts, 3, 10, 1);
+  const auto reference = oracle::sweep(sim, counts, 3, 10);
 
   // 10 cycles per point, delivered 3 + 3 + 4 — each advance stops every
   // point mid-accumulation, exercising the RNG-cursor columns.
@@ -173,7 +175,7 @@ TEST(FleetColumns, MidPointStopsStillLandBitIdentical) {
 TEST(FleetColumns, ShardedAdvanceThenMergeMatchesSweep) {
   const core::LargeScaleSimulator sim(lossy_params());
   const std::vector<int> counts = {30, 60, 90, 120, 150};
-  const auto reference = sim.sweep(counts, 11, 4, 1);
+  const auto reference = oracle::sweep(sim, counts, 11, 4);
 
   FleetColumns shard0 = FleetColumns::start(counts, 11, 4);
   FleetColumns shard1 = FleetColumns::start(counts, 11, 4);
@@ -233,7 +235,7 @@ TEST(Checkpoint, InterruptedRestoredRunMatchesUninterrupted) {
   const core::LargeScaleSimulator sim(lossy_params());
   const core::Hash128 hash = core::canonical_hash(sim.params());
   const std::vector<int> counts = {70, 140};
-  const auto reference = sim.sweep(counts, 17, 9, 1);
+  const auto reference = oracle::sweep(sim, counts, 17, 9);
 
   // Simulate a kill after 4 of 9 cycles: save, drop the in-memory state,
   // restore (as another process would) and run to completion.
@@ -254,7 +256,7 @@ TEST(Checkpoint, MergeFleetCheckpointsFansShardsBackIn) {
   const core::LargeScaleSimulator sim(lossy_params());
   const core::Hash128 hash = core::canonical_hash(sim.params());
   const std::vector<int> counts = {25, 50, 75, 100};
-  const auto reference = sim.sweep(counts, 29, 3, 1);
+  const auto reference = oracle::sweep(sim, counts, 29, 3);
 
   std::vector<std::string> paths;
   for (int s = 0; s < 2; ++s) {
@@ -383,7 +385,7 @@ class ResilienceCheckpoint : public ::testing::Test {
 };
 
 TEST_F(ResilienceCheckpoint, AdvanceMatchesSweepBitForBit) {
-  const auto reference = fleet_.sweep(counts_, 9, 12, 1);
+  const auto reference = oracle::resilience(fleet_, counts_, 9, 12);
   ResilienceColumns columns = ResilienceColumns::start(counts_, 9, 12);
   EXPECT_TRUE(fleet_.advance(columns, 0, 1));
   const auto advanced = columns.points();
@@ -392,7 +394,7 @@ TEST_F(ResilienceCheckpoint, AdvanceMatchesSweepBitForBit) {
 }
 
 TEST_F(ResilienceCheckpoint, PointGranularStopsAndResumeMatch) {
-  const auto reference = fleet_.sweep(counts_, 9, 12, 1);
+  const auto reference = oracle::resilience(fleet_, counts_, 9, 12);
   const core::Hash128 hash = core::resilience_campaign_hash(
       fleet_.base().params(), fleet_.plan(), fleet_.policy());
 
@@ -411,7 +413,7 @@ TEST_F(ResilienceCheckpoint, PointGranularStopsAndResumeMatch) {
 }
 
 TEST_F(ResilienceCheckpoint, ShardedMergeMatchesSweep) {
-  const auto reference = fleet_.sweep(counts_, 9, 12, 1);
+  const auto reference = oracle::resilience(fleet_, counts_, 9, 12);
   const core::Hash128 hash = core::resilience_campaign_hash(
       fleet_.base().params(), fleet_.plan(), fleet_.policy());
   std::vector<std::string> paths;
@@ -449,6 +451,144 @@ TEST_F(ResilienceCheckpoint, CampaignHashSeparatesPlansAndPolicies) {
       fleet_.base().params(), fleet_.plan(), tweaked);
   EXPECT_FALSE(base.hi == other.hi && base.lo == other.lo);
   EXPECT_FALSE(base.hi == third.hi && base.lo == third.lo);
+}
+
+// ---- Golden payload layout --------------------------------------------
+//
+// The expected payload of each kind is assembled here column by column,
+// in the order docs/CHECKPOINT.md documents, and compared byte for byte
+// with the file behind its 80-byte header. This pins the on-disk order
+// independently of the code that writes it.
+
+class Payload {
+ public:
+  template <typename T>
+  void column(const std::vector<T>& v) {
+    const auto* p = reinterpret_cast<const char*>(v.data());
+    bytes.insert(bytes.end(), p, p + v.size() * sizeof(T));
+  }
+  void stats(const StatColumns& s) {
+    column(s.n);
+    column(s.mean);
+    column(s.m2);
+    column(s.sum);
+    column(s.min);
+    column(s.max);
+  }
+
+  std::vector<char> bytes;
+};
+
+void expect_payload(const std::string& path, const Payload& expected) {
+  constexpr std::size_t kHeaderBytes = 80;
+  const std::vector<char> file = slurp(path);
+  ASSERT_EQ(file.size(), kHeaderBytes + expected.bytes.size());
+  EXPECT_EQ(std::memcmp(file.data() + kHeaderBytes, expected.bytes.data(),
+                        expected.bytes.size()),
+            0);
+}
+
+TEST(CheckpointLayout, SweepPayloadIsTheDocumentedColumnOrder) {
+  const core::LargeScaleSimulator sim(lossy_params());
+  FleetColumns c = FleetColumns::start({30, 70, 110}, 41, 9);
+  sim.advance(c, 4, 1);  // cursors mid-stream, Box-Muller caches live
+
+  Payload want;
+  want.column(c.clients);
+  want.column(c.cycles_done);
+  want.column(c.servers_used);
+  want.column(c.rng_s0);
+  want.column(c.rng_s1);
+  want.column(c.rng_s2);
+  want.column(c.rng_s3);
+  want.column(c.rng_cached_normal);
+  want.column(c.rng_has_cached);
+  want.stats(c.lost_clients);
+  want.stats(c.active_slots);
+  want.stats(c.edge_energy);
+  want.stats(c.cloud_energy);
+  want.stats(c.total_energy);
+
+  EXPECT_EQ(want.bytes.size(), c.size() * 293);  // docs/CHECKPOINT.md
+  const std::string path = temp_path("ckpt_layout_sweep.ck");
+  core::save_checkpoint(path, c, core::canonical_hash(sim.params()));
+  expect_payload(path, want);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointLayout, ResiliencePayloadIsTheDocumentedColumnOrder) {
+  const fault::FaultPlan plan = fault::FaultPlan::random_outages(
+      5, 16, 0.3, 3, fault::FaultKind::kLinkOutage);
+  const core::ResilientFleet fleet(lossy_params(), plan);
+  ResilienceColumns c = ResilienceColumns::start({20, 60, 100, 140}, 5, 16);
+  fleet.advance(c, 2, 1);  // half the points done, half pending
+
+  Payload want;
+  want.column(c.clients);
+  want.column(c.done);
+  want.column(c.servers_used);
+  want.column(c.degraded_cycles);
+  want.column(c.edge_fallback_cycles);
+  want.column(c.fallback_client_cycles);
+  want.column(c.shed_client_cycles);
+  want.column(c.browned_client_cycles);
+  want.column(c.sensor_mute_client_cycles);
+  want.stats(c.lost_clients);
+  want.stats(c.edge_energy);
+  want.stats(c.cloud_energy);
+  want.stats(c.total_energy);
+  want.column(c.bytes_generated);
+  want.column(c.bytes_served);
+  want.column(c.bytes_recovered);
+  want.column(c.bytes_dropped);
+  want.column(c.bytes_pending);
+  want.column(c.bytes_lost);
+
+  EXPECT_EQ(want.bytes.size(), c.size() * 289);
+  const std::string path = temp_path("ckpt_layout_resilience.ck");
+  core::save_checkpoint(path, c,
+                        core::resilience_campaign_hash(
+                            fleet.base().params(), plan, fleet.policy()));
+  expect_payload(path, want);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointLayout, FarmPayloadIsTheDocumentedColumnOrder) {
+  std::vector<hive::HiveRun> runs(3);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    auto& r = runs[i];
+    r.battery_level = 100.5 + static_cast<double>(i);
+    r.stats.wakeups_attempted = 10 + i;
+    r.stats.wakeups_completed = 9 + i;
+    r.stats.wakeups_skipped = 1;
+    r.stats.outage_time = 0.25 * static_cast<double>(i);
+    r.stats.harvested = 3.5 + static_cast<double>(i);
+    r.stats.consumed = 2.75 + static_cast<double>(i);
+    r.stats.regime_transitions = static_cast<int>(i);
+    r.stats.wakeups_degraded = 2 * i;
+    r.stats.wakeups_muted = 3 * i;
+    r.events_executed = 1000 + i;
+  }
+  const core::FarmColumns c = core::FarmColumns::from_runs(runs);
+
+  Payload want;
+  want.column(c.battery_level);
+  want.column(c.wakeups_attempted);
+  want.column(c.wakeups_completed);
+  want.column(c.wakeups_skipped);
+  want.column(c.outage_time);
+  want.column(c.harvested);
+  want.column(c.consumed);
+  want.column(c.regime_transitions);
+  want.column(c.wakeups_degraded);
+  want.column(c.wakeups_muted);
+  want.column(c.events_executed);
+
+  EXPECT_EQ(want.bytes.size(), c.size() * 84);
+  const std::string path = temp_path("ckpt_layout_farm.ck");
+  core::save_checkpoint(path, c);
+  expect_payload(path, want);
+  std::remove(path.c_str());
 }
 
 // ---- Farm columns -----------------------------------------------------

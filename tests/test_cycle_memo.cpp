@@ -9,11 +9,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -22,10 +20,10 @@
 #include "core/fleet_columns.hpp"
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
-#include "fault/degradation.hpp"
 #include "fault/fault.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
+#include "oracle.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -156,29 +154,10 @@ void expect_same(const std::vector<ResiliencePoint>& want,
 
 // -------------------------------------------------------------- references
 
-/// The plain per-cycle sweep: one public simulate_cycle per cycle,
-/// accumulated in the order LargeScaleSimulator::sweep documents.
+/// The plain per-cycle sweep of the oracle grid (oracle.hpp).
 std::vector<SweepPoint> reference_sweep(const core::LargeScaleSimulator& sim,
                                         const std::vector<int>& sizes) {
-  std::vector<SweepPoint> out;
-  for (int n : sizes) {
-    util::Rng rng =
-        util::Rng::for_stream(kSeed, static_cast<std::uint64_t>(n));
-    SweepPoint point;
-    point.initial_clients = n;
-    point.cycles = kCycles;
-    for (int c = 0; c < kCycles; ++c) {
-      const core::CycleResult r = sim.simulate_cycle(n, rng);
-      point.servers_used = std::max(point.servers_used, r.servers_used);
-      point.lost_clients.add(static_cast<double>(r.lost_clients));
-      point.active_slots.add(static_cast<double>(r.active_slots));
-      point.edge_energy.add(r.edge_energy);
-      point.cloud_energy.add(r.cloud_energy);
-      point.total_energy.add(r.edge_energy + r.cloud_energy);
-    }
-    out.push_back(point);
-  }
-  return out;
+  return oracle::sweep(sim, sizes, kSeed, kCycles);
 }
 
 /// A fault plan of cloud outages and cloud brownouts — the two faulted
@@ -197,90 +176,10 @@ fault::FaultPlan outage_plan() {
   return plan;
 }
 
-/// ResilientFleet::run_point for plans of cloud outages and brownouts
-/// under the default policy, written as a plain loop over the public
-/// simulate_cycle of the base simulator and of a brownout sibling built
-/// here the way ResilientFleet builds it.
+/// ResilientFleet::run_point as a plain loop (oracle.hpp).
 std::vector<ResiliencePoint> reference_resilience(
     const core::ResilientFleet& fleet, const std::vector<int>& sizes) {
-  const core::ResiliencePolicy& policy = fleet.policy();
-  const core::LargeScaleSimulator& base = fleet.base();
-  const core::ClientSpec& client = base.params().client;
-  const double upload = policy.upload_bytes_per_client;
-  std::map<double, core::LargeScaleSimulator> browned;
-
-  std::vector<ResiliencePoint> out;
-  for (int n : sizes) {
-    util::Rng rng =
-        util::Rng::for_stream(kSeed, static_cast<std::uint64_t>(n));
-    ResiliencePoint point;
-    point.initial_clients = n;
-    point.cycles = kCycles;
-    fault::StoreAndForwardBuffer buffer(policy.buffer_bytes_per_client *
-                                        static_cast<double>(n));
-    for (int c = 0; c < kCycles; ++c) {
-      const fault::CycleFaults& f = fleet.injector().at(c);
-      EXPECT_FALSE(f.link_outage || f.link_bandwidth_factor < 1.0 ||
-                   f.battery_factor < 1.0 || f.sensor_dropout_fraction > 0.0);
-      double edge = 0.0;
-      double cloud = 0.0;
-      int servers = 0;
-      int lost = 0;
-      if (f.any()) ++point.degraded_cycles;
-      if (f.cloud_outage) {
-        lost = base.params().loss.draw_lost_clients(n, rng);
-        const int active = n - lost;
-        edge += static_cast<double>(lost) * client.sleep_cycle_energy();
-        const double offered = static_cast<double>(active) * upload;
-        point.bytes_generated += offered;
-        edge += static_cast<double>(active) *
-                fleet.edge_fallback_cycle_energy();
-        ++point.edge_fallback_cycles;
-        point.fallback_client_cycles += active;
-        point.bytes_dropped += offered - buffer.offer(offered);
-      } else {
-        const core::LargeScaleSimulator* sim = &base;
-        if (f.cloud_capacity_factor < 1.0) {
-          auto it = browned.find(f.cloud_capacity_factor);
-          if (it == browned.end()) {
-            FleetParams p = base.params();
-            p.server.max_parallel = std::max(
-                1, static_cast<int>(std::floor(
-                       static_cast<double>(p.server.max_parallel) *
-                       f.cloud_capacity_factor)));
-            it = browned.emplace(f.cloud_capacity_factor,
-                                 core::LargeScaleSimulator(p))
-                     .first;
-          }
-          sim = &it->second;
-        }
-        const core::CycleResult r = sim->simulate_cycle(n, rng);
-        lost = r.lost_clients;
-        edge += r.edge_energy;
-        cloud = r.cloud_energy;
-        servers = r.servers_used;
-        const double produced =
-            static_cast<double>(r.surviving_clients()) * upload;
-        point.bytes_generated += produced;
-        point.bytes_served += produced;
-        if (buffer.buffered() > 0.0) {
-          const double drained = buffer.drain(
-              policy.catchup_factor * upload *
-              static_cast<double>(r.surviving_clients()));
-          point.bytes_recovered += drained;
-          edge += drained / upload * policy.upload_energy_per_payload;
-        }
-      }
-      point.servers_used = std::max(point.servers_used, servers);
-      point.lost_clients.add(static_cast<double>(lost));
-      point.edge_energy.add(edge);
-      point.cloud_energy.add(cloud);
-      point.total_energy.add(edge + cloud);
-    }
-    point.bytes_pending = buffer.buffered();
-    out.push_back(point);
-  }
-  return out;
+  return oracle::resilience(fleet, sizes, kSeed, kCycles);
 }
 
 std::string temp_path(const std::string& name) {

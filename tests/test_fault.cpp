@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/resilience.hpp"
 #include "fault/degradation.hpp"
@@ -318,4 +320,70 @@ TEST(ResilientFleet, RejectsInvalidUse) {
   EXPECT_THROW(resilient.run_point(-1, 1, rng), std::invalid_argument);
   EXPECT_THROW(resilient.run_point(10, 0, rng), std::invalid_argument);
   EXPECT_THROW(resilient.sweep({10}, 1, 0), std::invalid_argument);
+}
+
+TEST(ResilientFleet, ValidIsExactlyTheConstructorsPreconditions) {
+  // Each case: does the predicate accept it, and does the constructor?
+  struct Case {
+    const char* what;
+    core::FleetParams params;
+    FaultPlan plan;
+    core::ResiliencePolicy policy;
+    bool valid;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* what, bool valid, auto&& tweak) {
+    Case c{what, fleet(), FaultPlan::none(), {}, valid};
+    tweak(c);
+    cases.push_back(std::move(c));
+  };
+  add("defaults", true, [](Case&) {});
+  add("mismatched period", false,
+      [](Case& c) { c.params.client.period = c.params.server.cycle / 2.0; });
+  add("negative buffer", false,
+      [](Case& c) { c.policy.buffer_bytes_per_client = -1.0; });
+  add("zero upload", false,
+      [](Case& c) { c.policy.upload_bytes_per_client = 0.0; });
+  add("negative upload energy", false,
+      [](Case& c) { c.policy.upload_energy_per_payload = -1.0; });
+  add("negative catchup", false,
+      [](Case& c) { c.policy.catchup_factor = -0.5; });
+  add("NaN tolerance", false,
+      [](Case& c) { c.policy.outage_loss_tolerance = std::nan(""); });
+  add("tolerance above 1", false,
+      [](Case& c) { c.policy.outage_loss_tolerance = 1.5; });
+  add("bad search options", false,
+      [](Case& c) { c.policy.search.beam_width = 0; });
+  add("bad device class", false, [](Case& c) {
+    c.policy.classes.push_back({"neg", -1});
+  });
+  add("too many beam classes", false, [](Case& c) {
+    c.policy.optimizer = core::PlacementOptimizer::kBeam;
+    c.policy.outage_loss_tolerance = 0.1;
+    for (int i = 0; i <= core::PlacementSearch::kMaxClasses; ++i)
+      c.policy.classes.push_back({std::to_string(i), 1});
+  });
+  add("mildly degraded link", true, [](Case& c) {
+    c.plan.add({FaultKind::kLinkDegraded, 2, 4, 0.5});
+  });
+  add("link too degraded for one slot", false, [](Case& c) {
+    c.plan.add({FaultKind::kLinkDegraded, 2, 4, 0.001});
+  });
+  add("too degraded, but only under a link outage", true, [](Case& c) {
+    c.plan.add({FaultKind::kLinkDegraded, 2, 4, 0.001});
+    c.plan.add({FaultKind::kLinkOutage, 2, 4});
+  });
+
+  for (const Case& c : cases) {
+    EXPECT_EQ(core::ResilientFleet::valid(c.params, c.plan, c.policy),
+              c.valid)
+        << c.what;
+    bool constructed = true;
+    try {
+      const core::ResilientFleet f(c.params, c.plan, c.policy);
+    } catch (const std::invalid_argument&) {
+      constructed = false;
+    }
+    EXPECT_EQ(constructed, c.valid) << c.what;
+  }
 }

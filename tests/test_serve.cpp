@@ -408,6 +408,46 @@ TEST(SimulationService, InvalidPhysicsRejectsTypedInWorkerMode) {
   EXPECT_EQ(ledger.completed, 1u);
 }
 
+TEST(SimulationService, InvalidResilienceRejectsTypedInWorkerMode) {
+  // A bad policy or a plan whose degraded link cannot fit one slot used
+  // to pass admission and throw from the ResilientFleet constructor on a
+  // worker thread (std::terminate). Both must reject at admission.
+  SimulationService::Config config;
+  config.workers = 2;
+  SimulationService service(config);
+
+  serve::ResilienceRequest bad_policy;
+  bad_policy.params = lossy_fleet();
+  bad_policy.client_counts = {100};
+  bad_policy.policy.buffer_bytes_per_client = -1.0;
+  serve::ResilienceRequest bad_plan;
+  bad_plan.params = lossy_fleet();
+  bad_plan.client_counts = {100};
+  bad_plan.plan.add({fault::FaultKind::kLinkDegraded, 0, 2, 0.001});
+  for (const serve::ResilienceRequest& r : {bad_policy, bad_plan}) {
+    ASSERT_FALSE(core::ResilientFleet::valid(r.params, r.plan, r.policy));
+    auto ticket = service.submit(Request::make_resilience(r));
+    EXPECT_EQ(ticket.admission, Admission::kRejectedInvalid);
+    EXPECT_FALSE(ticket.response.valid());
+  }
+
+  // The service is still alive: a valid resilience request completes.
+  serve::ResilienceRequest good;
+  good.params = lossy_fleet();
+  good.plan = fault::FaultPlan::random_outages(3, 8, 0.25, 2);
+  good.client_counts = {100, 200};
+  good.cycles_per_point = 8;
+  auto ok = service.submit(Request::make_resilience(good));
+  ASSERT_EQ(ok.admission, Admission::kAdmitted);
+  EXPECT_EQ(ok.response.get().resilience_points.size(), 2u);
+  service.shutdown();
+  expect_balanced_and_drained(service);
+  const auto ledger = service.ledger();
+  EXPECT_EQ(ledger.rejected, 2u);
+  EXPECT_EQ(ledger.admitted, 1u);
+  EXPECT_EQ(ledger.completed, 1u);
+}
+
 TEST(SimulationService, QueueFullRejectsTyped) {
   SimulationService::Config config = manual_config();
   config.queue_capacity = 2;  // tiny ring, nothing drains it
@@ -469,42 +509,6 @@ TEST(SimulationService, CacheDisabledStillCorrect) {
   EXPECT_FALSE(b.sweep_points[0].from_cache);  // recomputed, not cached
   expect_points_identical(a.sweep_points[0].point, b.sweep_points[0].point);
   EXPECT_EQ(service.cache_stats().entries, 0u);
-}
-
-TEST(SimulationService, ColumnarBatchingMatchesScalarPathFieldExact) {
-  // The batched columnar compute path (FleetColumns/ResilienceColumns +
-  // pool-parallel advance) must produce responses field-identical to the
-  // per-request scalar sweep it replaces — for sweeps and for resilience.
-  serve::ResilienceRequest rr;
-  rr.params = core::FleetParams::paper_default();
-  rr.plan = fault::FaultPlan::random_outages(11, 40, 0.25, 4);
-  rr.client_counts = {150, 350};
-  rr.cycles_per_point = 40;
-  rr.seed = 9;
-
-  std::vector<Response> by_mode;  // [0] = sweep/resilience columnar,
-  for (bool columnar : {true, false}) {
-    SimulationService::Config config = manual_config();
-    config.columnar_batching = columnar;
-    config.cache_enabled = false;  // force every point through compute
-    SimulationService service(config);
-    auto sweep = service.submit(sweep_request({100, 300, 500}));
-    auto resilience = service.submit(Request::make_resilience(rr));
-    service.drain();
-    by_mode.push_back(sweep.response.get());
-    by_mode.push_back(resilience.response.get());
-    expect_balanced_and_drained(service);
-  }
-
-  ASSERT_EQ(by_mode[0].sweep_points.size(), by_mode[2].sweep_points.size());
-  for (std::size_t i = 0; i < by_mode[0].sweep_points.size(); ++i)
-    expect_points_identical(by_mode[0].sweep_points[i].point,
-                            by_mode[2].sweep_points[i].point);
-  ASSERT_EQ(by_mode[1].resilience_points.size(),
-            by_mode[3].resilience_points.size());
-  for (std::size_t i = 0; i < by_mode[1].resilience_points.size(); ++i)
-    expect_points_identical(by_mode[1].resilience_points[i].point,
-                            by_mode[3].resilience_points[i].point);
 }
 
 TEST(SimulationService, DeterministicAcrossWorkerCounts) {

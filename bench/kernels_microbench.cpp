@@ -173,6 +173,25 @@ void BM_CnnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnForward)->Arg(20)->Arg(50)->Arg(100);
 
+// The clip-infer batch shape: 16 images of 100x100 through
+// predict_classifier, one whole-stack forward per image on the TaskPool.
+void BM_PredictClassifier(benchmark::State& state) {
+  constexpr std::size_t kSide = 100;
+  util::Rng rng(4);
+  auto net = ml::make_queen_cnn(rng, 8, kSide);
+  std::vector<dsp::Matrix> images(16, dsp::Matrix(kSide, kSide));
+  for (auto& img : images)
+    for (std::size_t r = 0; r < kSide; ++r)
+      for (std::size_t c = 0; c < kSide; ++c) img(r, c) = rng.uniform();
+  for (auto _ : state) {
+    auto preds = ml::predict_classifier(net, images, images.size());
+    benchmark::DoNotOptimize(preds.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(images.size()));
+}
+BENCHMARK(BM_PredictClassifier)->UseRealTime();
+
 // CNN forward with the naive 6-deep convolution loop (gemm_conv off) —
 // the GEMM comparison baseline.
 void BM_CnnForwardNaive(benchmark::State& state) {

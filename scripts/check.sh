@@ -52,13 +52,15 @@
 #               serving throughput (serving.*).
 #   --sanitize  configure a second build tree (<build-dir>-san) with
 #               -DBEESIM_SANITIZE=address,undefined and run the
-#               sim/fault/net/checkpoint/simd/precision/cycle-memo/serve
-#               test binaries under ASan+UBSan; then a third tree
-#               (<build-dir>-tsan) with -DBEESIM_SANITIZE=thread and run
-#               the task-pool, serving and cycle-memo test binaries under
+#               sim/fault/net/checkpoint/simd/precision/inference/
+#               cycle-memo/serve test binaries under ASan+UBSan; then a
+#               third tree (<build-dir>-tsan) with
+#               -DBEESIM_SANITIZE=thread and run the task-pool, serving,
+#               cycle-memo and inference test binaries under
 #               ThreadSanitizer (the suites that exercise the
-#               work-stealing executor, the lock-free submission rings
-#               and the per-point memos of pool-parallel sweeps).
+#               work-stealing executor, the lock-free submission rings,
+#               the per-point memos of pool-parallel sweeps and the
+#               reentrant CNN forward shared by concurrent callers).
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -340,16 +342,16 @@ fi
 
 if [ "$run_sanitize" -eq 1 ]; then
   echo
-  echo "== sanitize (--sanitize): sim/fault/net/serve tests under ASan+UBSan =="
+  echo "== sanitize (--sanitize): sim/fault/net/serve/ml tests under ASan+UBSan =="
   cmake -B "$repo/$build-san" -S "$repo" \
     -DBEESIM_SANITIZE=address,undefined > /dev/null
   cmake --build "$repo/$build-san" -j \
     --target test_sim test_fault test_net test_checkpoint \
-             test_simd test_precision test_placement_search \
-             test_cycle_memo test_serve > /dev/null
+             test_simd test_precision test_inference \
+             test_placement_search test_cycle_memo test_serve > /dev/null
   for t in test_sim test_fault test_net test_checkpoint \
-           test_simd test_precision test_placement_search \
-           test_cycle_memo test_serve; do
+           test_simd test_precision test_inference \
+           test_placement_search test_cycle_memo test_serve; do
     if "$repo/$build-san/tests/$t" --gtest_brief=1 > "$tmp/$t.san.log" 2>&1
     then
       echo "  ok  $t clean under address,undefined"
@@ -361,12 +363,13 @@ if [ "$run_sanitize" -eq 1 ]; then
   done
 
   echo
-  echo "== sanitize (--sanitize): pool + serving + cycle-memo tests under TSan =="
+  echo "== sanitize (--sanitize): pool + serving + cycle-memo + inference tests under TSan =="
   cmake -B "$repo/$build-tsan" -S "$repo" \
     -DBEESIM_SANITIZE=thread > /dev/null
   cmake --build "$repo/$build-tsan" -j \
-    --target test_task_pool test_serve test_cycle_memo > /dev/null
-  for t in test_task_pool test_serve test_cycle_memo; do
+    --target test_task_pool test_serve test_cycle_memo \
+             test_inference > /dev/null
+  for t in test_task_pool test_serve test_cycle_memo test_inference; do
     if "$repo/$build-tsan/tests/$t" --gtest_brief=1 > "$tmp/$t.tsan.log" 2>&1
     then
       echo "  ok  $t clean under thread"

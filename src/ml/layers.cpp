@@ -28,6 +28,21 @@ void convert_bf16(const float* src, std::size_t count,
     dst[i] = dsp::f32_to_bf16_bits(src[i]);
 }
 
+/// Per-thread forward scratch. Inference forwards run concurrently on one
+/// layer (Layer's reentrancy contract), so the lowered image and the bf16
+/// activations cannot live in members; a thread-local buffer keeps them
+/// warm across images. Nothing inside a forward opens a parallel region,
+/// so a thread never re-enters a forward while its scratch is in use.
+struct ForwardScratch {
+  std::vector<float> im2col;
+  std::vector<std::uint16_t> act_bf16;
+};
+
+ForwardScratch& forward_scratch() {
+  thread_local ForwardScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 // ----------------------------------------------------------------- Conv2d
@@ -48,6 +63,12 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   const double scale = std::sqrt(2.0 / fan_in);  // He init
   for (std::size_t i = 0; i < weights_.size(); ++i)
     weights_[i] = static_cast<float>(rng.normal(0.0, scale));
+  requantize();
+}
+
+void Conv2d::requantize() {
+  convert_bf16(weights_.data(), weights_.size(), wt_bf16_);
+  wt_s8_ = quantize_rows_s8(weights_.data(), out_ch_, in_ch_ * k_ * k_);
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool train) {
@@ -71,34 +92,27 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
     const Precision prec = train ? Precision::kF32 : inference_precision();
     const std::size_t cols = h * w;
     const std::size_t kdim = in_ch_ * k_ * k_;
-    if (prec != Precision::kF32 && quant_dirty_) {
-      wt_bf16_.clear();
-      wt_s8_ = QuantizedRows{};
-      quant_dirty_ = false;
-    }
-    if (prec == Precision::kBf16 && wt_bf16_.empty())
-      convert_bf16(wt, weights_.size(), wt_bf16_);
-    if (prec == Precision::kInt8 && wt_s8_.values.empty())
-      wt_s8_ = quantize_rows_s8(wt, out_ch_, kdim);
+    ForwardScratch& scratch = forward_scratch();
+    std::vector<float>& lowered = scratch.im2col;
     for (std::size_t b = 0; b < n; ++b) {
-      im2col_same(in + b * in_ch_ * cols, in_ch_, h, w, k_, im2col_buf_);
+      im2col_same(in + b * in_ch_ * cols, in_ch_, h, w, k_, lowered);
       float* obatch = o + b * out_ch_ * cols;
       switch (prec) {
         case Precision::kF32:
-          sgemm_bias(out_ch_, cols, kdim, wt, im2col_buf_.data(),
-                     bias_.data(), obatch);
+          sgemm_bias(out_ch_, cols, kdim, wt, lowered.data(), bias_.data(),
+                     obatch);
           break;
         case Precision::kBf16:
-          convert_bf16(im2col_buf_.data(), im2col_buf_.size(), act_bf16_);
+          convert_bf16(lowered.data(), lowered.size(), scratch.act_bf16);
           sgemm_bias_bf16(out_ch_, cols, kdim, wt_bf16_.data(),
-                          act_bf16_.data(), bias_.data(), obatch);
+                          scratch.act_bf16.data(), bias_.data(), obatch);
           break;
         case Precision::kInt8: {
           const QuantizedTensor act =
-              quantize_tensor_s8(im2col_buf_.data(), im2col_buf_.size());
+              quantize_tensor_s8(lowered.data(), lowered.size());
           sgemm_bias_s8(out_ch_, cols, kdim, wt_s8_.values.data(),
-                        wt_s8_.scales.data(), act.values.data(), act.scale,
-                        bias_.data(), obatch);
+                        wt_s8_.scales.data(), act.values.data(),
+                        act.scale, bias_.data(), obatch);
           break;
         }
       }
@@ -200,7 +214,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 void Conv2d::sgd_step(float lr, float momentum) {
   sgd_update(weights_, grad_weights_, vel_weights_, lr, momentum);
   sgd_update(bias_, grad_bias_, vel_bias_, lr, momentum);
-  quant_dirty_ = true;
+  requantize();
 }
 
 void Conv2d::append_parameters(std::vector<float>& out) const {
@@ -213,15 +227,19 @@ void Conv2d::load_parameters(const float*& cursor) {
   cursor += weights_.size();
   std::copy(cursor, cursor + bias_.size(), bias_.data());
   cursor += bias_.size();
-  quant_dirty_ = true;
+  requantize();
 }
 
 // ------------------------------------------------------------------- ReLU
 
 Tensor ReLU::forward(const Tensor& input, bool train) {
   Tensor out = input;
+  // std::max(v, 0) is (v < 0) ? 0 : v, so NaN and -0.0 pass through
+  // unchanged. It vectorizes, where a per-element branch would
+  // mispredict on conv outputs (about half of them are negative).
+  float* dst = out.data();
   for (std::size_t i = 0; i < out.size(); ++i)
-    if (out[i] < 0.0f) out[i] = 0.0f;
+    dst[i] = std::max(dst[i], 0.0f);
   if (train) cached_input_ = input;
   return out;
 }
@@ -388,6 +406,12 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
   const double scale = std::sqrt(1.0 / static_cast<double>(in_features));
   for (std::size_t i = 0; i < weights_.size(); ++i)
     weights_[i] = static_cast<float>(rng.normal(0.0, scale));
+  requantize();
+}
+
+void Linear::requantize() {
+  convert_bf16(weights_.data(), weights_.size(), wt_bf16_);
+  wt_s8_ = quantize_rows_s8(weights_.data(), out_, in_);
 }
 
 Tensor Linear::forward(const Tensor& input, bool train) {
@@ -397,37 +421,24 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   Tensor out({n, out_});
   const Precision prec = train ? Precision::kF32 : inference_precision();
   if (prec != Precision::kF32) {
-    // Transpose the batch to (in, n) so the GEMM contract applies with
-    // the (out, in) weight matrix on the left; the (out, n) product is
-    // transposed back into the row-major output.
-    if (quant_dirty_) {
-      wt_bf16_.clear();
-      wt_s8_ = QuantizedRows{};
-      quant_dirty_ = false;
+    // Each input row is a (in, 1) column and each output row the (out, 1)
+    // product with the (out, in) weight matrix on the left, so samples
+    // are quantized one at a time.
+    std::vector<std::uint16_t>& act_bf16 = forward_scratch().act_bf16;
+    for (std::size_t b = 0; b < n; ++b) {
+      const float* irow = input.data() + b * in_;
+      float* orow = out.data() + b * out_;
+      if (prec == Precision::kBf16) {
+        convert_bf16(irow, in_, act_bf16);
+        sgemm_bias_bf16(out_, 1, in_, wt_bf16_.data(), act_bf16.data(),
+                        bias_.data(), orow);
+      } else {
+        const QuantizedTensor act = quantize_tensor_s8(irow, in_);
+        sgemm_bias_s8(out_, 1, in_, wt_s8_.values.data(),
+                      wt_s8_.scales.data(), act.values.data(), act.scale,
+                      bias_.data(), orow);
+      }
     }
-    in_t_.resize(in_ * n);
-    for (std::size_t b = 0; b < n; ++b)
-      for (std::size_t i = 0; i < in_; ++i)
-        in_t_[i * n + b] = input.data()[b * in_ + i];
-    out_t_.resize(out_ * n);
-    if (prec == Precision::kBf16) {
-      if (wt_bf16_.empty())
-        convert_bf16(weights_.data(), weights_.size(), wt_bf16_);
-      convert_bf16(in_t_.data(), in_t_.size(), act_bf16_);
-      sgemm_bias_bf16(out_, n, in_, wt_bf16_.data(), act_bf16_.data(),
-                      bias_.data(), out_t_.data());
-    } else {
-      if (wt_s8_.values.empty())
-        wt_s8_ = quantize_rows_s8(weights_.data(), out_, in_);
-      const QuantizedTensor act =
-          quantize_tensor_s8(in_t_.data(), in_t_.size());
-      sgemm_bias_s8(out_, n, in_, wt_s8_.values.data(),
-                    wt_s8_.scales.data(), act.values.data(), act.scale,
-                    bias_.data(), out_t_.data());
-    }
-    for (std::size_t b = 0; b < n; ++b)
-      for (std::size_t o = 0; o < out_; ++o)
-        out.at2(b, o) = out_t_[o * n + b];
     return out;
   }
   for (std::size_t b = 0; b < n; ++b) {
@@ -468,7 +479,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
 void Linear::sgd_step(float lr, float momentum) {
   sgd_update(weights_, grad_weights_, vel_weights_, lr, momentum);
   sgd_update(bias_, grad_bias_, vel_bias_, lr, momentum);
-  quant_dirty_ = true;
+  requantize();
 }
 
 void Linear::append_parameters(std::vector<float>& out) const {
@@ -481,7 +492,7 @@ void Linear::load_parameters(const float*& cursor) {
   cursor += weights_.size();
   std::copy(cursor, cursor + bias_.size(), bias_.data());
   cursor += bias_.size();
-  quant_dirty_ = true;
+  requantize();
 }
 
 // ------------------------------------------------------ SoftmaxCrossEntropy

@@ -10,10 +10,16 @@
 
 namespace beesim::ml {
 
-/// Base class for trainable layers. forward caches whatever backward
-/// needs; backward returns the gradient w.r.t. the layer input and
-/// accumulates parameter gradients, which sgd_step then applies with
+/// Base class for trainable layers. forward(train=true) caches whatever
+/// backward needs; backward returns the gradient w.r.t. the layer input
+/// and accumulates parameter gradients, which sgd_step then applies with
 /// momentum.
+///
+/// forward(x, train=false) writes no member: inference is reentrant, so
+/// any number of threads may run it on one layer at once (this is how
+/// predict_classifier fans images out over the TaskPool). Training
+/// calls (forward(train=true), backward, sgd_step, load_parameters) need
+/// exclusive access.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -40,8 +46,8 @@ class Layer {
 /// path (the weight matrix (out, in*k*k) times the lowered image), and
 /// the naive 6-deep loop nest kept as the reference. Inference-only
 /// forward passes honor ml::inference_precision(): the GEMM path swaps
-/// in bf16 or symmetric-int8 operands (weights quantized once and cached
-/// until the next sgd_step/load_parameters, activations per call).
+/// in bf16 or symmetric-int8 operands (weights re-quantized whenever they
+/// change, activations per image).
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -70,14 +76,13 @@ class Conv2d final : public Layer {
   Tensor vel_weights_;
   Tensor vel_bias_;
   Tensor cached_input_;
-  std::vector<float> im2col_buf_;  // reused across forward calls
 
-  // Reduced-precision weight caches (inference fast path); rebuilt lazily
-  // after any parameter mutation flips quant_dirty_.
+  // Reduced-precision copies of weights_, rebuilt by requantize() at
+  // every weight change so an inference forward only reads them.
   std::vector<std::uint16_t> wt_bf16_;
   QuantizedRows wt_s8_;
-  bool quant_dirty_ = true;
-  std::vector<std::uint16_t> act_bf16_;  // per-call activation scratch
+
+  void requantize();
 };
 
 /// Element-wise ReLU.
@@ -133,8 +138,10 @@ class GlobalAvgPool final : public Layer {
 
 /// Fully connected layer: (N, D) -> (N, M). Xavier initialization.
 /// Inference-only forward passes honor ml::inference_precision() like
-/// Conv2d: the batch is transposed to (D, N) so the dispatched GEMM
-/// kernels apply, with weights as the quantized left operand.
+/// Conv2d: each sample is one (D, 1) column for the dispatched GEMM
+/// kernels, with weights as the quantized left operand, so every sample
+/// gets its own int8 activation scale and a sample's logits do not
+/// depend on which other samples share the batch.
 class Linear final : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng);
@@ -160,13 +167,11 @@ class Linear final : public Layer {
   Tensor vel_bias_;
   Tensor cached_input_;
 
-  // Reduced-precision caches/scratch (see Conv2d).
+  // Reduced-precision weight copies (see Conv2d).
   std::vector<std::uint16_t> wt_bf16_;
   QuantizedRows wt_s8_;
-  bool quant_dirty_ = true;
-  std::vector<std::uint16_t> act_bf16_;
-  std::vector<float> in_t_;   // input transposed to (in, n)
-  std::vector<float> out_t_;  // gemm result (out, n) before transpose-back
+
+  void requantize();
 };
 
 /// Softmax + cross-entropy on logits (N, classes). Returns mean loss and

@@ -4,7 +4,19 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/parallel.hpp"
+
 namespace beesim::ml {
+namespace {
+
+/// Copies one (h x w) image into `dst` as floats.
+void copy_image(const dsp::Matrix& img, float* dst) {
+  const double* src = img.data();
+  for (std::size_t i = 0; i < img.rows() * img.cols(); ++i)
+    dst[i] = static_cast<float>(src[i]);
+}
+
+}  // namespace
 
 void Network::add(std::unique_ptr<Layer> layer) {
   if (!layer) throw std::invalid_argument("Network::add: null layer");
@@ -71,13 +83,10 @@ Tensor images_to_tensor(const std::vector<dsp::Matrix>& images) {
   const std::size_t h = images.front().rows();
   const std::size_t w = images.front().cols();
   Tensor out({images.size(), 1, h, w});
-  float* dst = out.data();
-  for (const auto& img : images) {
-    if (img.rows() != h || img.cols() != w)
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    if (images[i].rows() != h || images[i].cols() != w)
       throw std::invalid_argument("images_to_tensor: ragged batch");
-    const double* src = img.data();
-    for (std::size_t i = 0; i < h * w; ++i)
-      *dst++ = static_cast<float>(src[i]);
+    copy_image(images[i], out.data() + i * h * w);
   }
   return out;
 }
@@ -141,18 +150,17 @@ std::vector<std::size_t> predict_classifier(
     std::size_t batch_size) {
   if (images.empty() || batch_size == 0)
     throw std::invalid_argument("predict_classifier: bad arguments");
-  std::vector<std::size_t> out;
-  out.reserve(images.size());
-  for (std::size_t start = 0; start < images.size(); start += batch_size) {
-    const std::size_t end = std::min(start + batch_size, images.size());
-    std::vector<dsp::Matrix> batch(images.begin() +
-                                       static_cast<std::ptrdiff_t>(start),
-                                   images.begin() +
-                                       static_cast<std::ptrdiff_t>(end));
-    const Tensor logits = net.forward(images_to_tensor(batch), false);
-    const auto preds = SoftmaxCrossEntropy::predict(logits);
-    out.insert(out.end(), preds.begin(), preds.end());
-  }
+  const std::size_t h = images.front().rows();
+  const std::size_t w = images.front().cols();
+  for (const auto& img : images)
+    if (img.rows() != h || img.cols() != w)
+      throw std::invalid_argument("predict_classifier: ragged images");
+  std::vector<std::size_t> out(images.size());
+  util::parallel_for(images.size(), [&](std::size_t i) {
+    Tensor x({1, 1, h, w});
+    copy_image(images[i], x.data());
+    out[i] = SoftmaxCrossEntropy::predict(net.forward(x, false)).front();
+  });
   return out;
 }
 

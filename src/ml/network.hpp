@@ -20,6 +20,8 @@ class Network {
   void add(std::unique_ptr<Layer> layer);
 
   /// Forward pass; train=true caches activations for backward.
+  /// train=false writes no member and may run on many threads at once
+  /// (Layer's reentrancy contract).
   Tensor forward(const Tensor& input, bool train = false);
 
   /// Backward pass from the loss gradient; call after forward(train=true).
@@ -73,15 +75,21 @@ TrainReport train_classifier(Network& net,
                              const std::vector<std::size_t>& labels,
                              const TrainOptions& options = TrainOptions{});
 
-/// Batched multi-clip inference: predicted class per image, running
-/// `batch_size` clips through each forward pass so the dispatched GEMM
-/// kernels see wide (out, batch*h*w) panels. Honors the process-global
-/// ml::inference_precision().
+/// Multi-clip inference: predicted class per image. Each image runs the
+/// whole layer stack as its own (1, 1, side, side) forward, one
+/// util::parallel_for index per image, so every activation stays
+/// cache-sized and a prediction never depends on which other images
+/// were passed, on `batch_size` or on the thread count. Logits equal a
+/// batched Network::forward bit for bit under every precision.
+/// `batch_size` must be non-zero and changes neither the result nor the
+/// work. Images must share one shape. Honors the process-global
+/// ml::inference_precision(); safe to call from several threads on one
+/// Network while nothing trains it.
 std::vector<std::size_t> predict_classifier(
     Network& net, const std::vector<dsp::Matrix>& images,
     std::size_t batch_size = 32);
 
-/// Accuracy of `net` on a labeled set (batched inference).
+/// Accuracy of `net` on a labeled set (via predict_classifier).
 double evaluate_classifier(Network& net,
                            const std::vector<dsp::Matrix>& images,
                            const std::vector<std::size_t>& labels,

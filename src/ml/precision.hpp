@@ -14,8 +14,8 @@ namespace beesim::ml {
 /// - kBf16: operands stored as bfloat16 (high 16 bits of the f32,
 ///   round-to-nearest-even); products and accumulation stay in f32.
 /// - kInt8: symmetric per-row (per-output-channel) weight quantization
-///   and per-tensor activation quantization, exact i32 accumulation,
-///   fused f32 dequantization.
+///   and one activation scale per image (Conv2d) or per sample
+///   (Linear), exact i32 accumulation, fused f32 dequantization.
 enum class Precision { kF32, kBf16, kInt8 };
 
 /// Parses "f32", "bf16" or "int8" (the `precision=` bench argument);

@@ -112,7 +112,12 @@ void hash_append(CanonicalHasher& h, const FleetParams& params) {
   hash_append(h, params.server);
   h.i64(static_cast<std::int64_t>(params.policy));
   hash_append(h, params.loss);
-  h.boolean(params.compact_allocation);
+  // Placeholder for the removed `compact_allocation` switch (always true
+  // once the compact allocator became the only path). Hashing the constant
+  // keeps every canonical hash, BEESIMCK header hash and PointCache key
+  // byte-identical to files and caches written before the removal, so no
+  // checkpoint version bump is needed.
+  h.boolean(true);
 }
 
 void hash_append(CanonicalHasher& h, const fault::FaultWindow& window) {

@@ -101,24 +101,6 @@ LargeScaleSimulator::LargeScaleSimulator(FleetParams params)
 }
 
 util::Joules LargeScaleSimulator::server_energy(
-    const Allocation::ServerLoad& load, std::uint64_t& saturated) const {
-  util::Seconds active_time = 0.0;
-  util::Joules active_energy = 0.0;
-  for (int k : load.slot_clients) {
-    if (k <= 0) continue;
-    active_time += server_.slot_duration(k);
-    active_energy += server_.slot_active_energy(k) *
-                     params_.loss.saturation_factor(k,
-                                                    server_.max_parallel);
-    if (params_.loss.saturates(k, server_.max_parallel)) ++saturated;
-  }
-  if (active_time > server_.cycle)
-    throw std::logic_error(
-        "LargeScaleSimulator: active slots exceed the cycle");
-  return server_.idle_power * (server_.cycle - active_time) + active_energy;
-}
-
-util::Joules LargeScaleSimulator::server_energy(
     const CompactLayout& layout, int cls, std::uint64_t& saturated) const {
   util::Seconds active_time = 0.0;
   util::Joules active_energy = 0.0;
@@ -143,26 +125,16 @@ util::Joules LargeScaleSimulator::server_energy(
 
 LargeScaleSimulator::CloudCycle LargeScaleSimulator::cloud_cycle(
     int surviving) const {
+  // Stack-resident columnar layout: the whole allocation is a few fixed
+  // arrays, no heap traffic.
+  CompactLayout layout;
+  allocate_compact_into(surviving, server_, params_.policy, layout);
   CloudCycle out;
-  if (params_.compact_allocation) {
-    // Stack-resident columnar layout: the whole allocation is a few fixed
-    // arrays, no heap traffic (the SoA fast path that
-    // bench/checkpoint_bench measures against the old vector form).
-    CompactLayout layout;
-    allocate_compact_into(surviving, server_, params_.policy, layout);
-    out.servers_used = static_cast<int>(layout.servers_used());
-    out.active_slots = static_cast<int>(layout.active_slots());
-    for (int c = 0; c < layout.class_count; ++c)
-      out.cloud_energy += static_cast<double>(layout.servers[c]) *
-                          server_energy(layout, c, out.saturated_slots);
-  } else {
-    const Allocation alloc = allocate(surviving, server_, params_.policy);
-    out.servers_used = alloc.servers_used();
-    for (const auto& load : alloc.servers) {
-      out.active_slots += load.active_slots();
-      out.cloud_energy += server_energy(load, out.saturated_slots);
-    }
-  }
+  out.servers_used = static_cast<int>(layout.servers_used());
+  out.active_slots = static_cast<int>(layout.active_slots());
+  for (int c = 0; c < layout.class_count; ++c)
+    out.cloud_energy += static_cast<double>(layout.servers[c]) *
+                        server_energy(layout, c, out.saturated_slots);
   return out;
 }
 

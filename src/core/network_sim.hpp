@@ -22,12 +22,6 @@ struct FleetParams {
   ServerSpec server;
   FillPolicy policy = FillPolicy::kFillFirst;
   LossConfig loss;
-  /// When true (the default) each cycle allocates through the O(1)
-  /// occupancy-histogram fast path (allocate_compact); false forces the
-  /// materialized per-slot vector path. Both produce the same energy
-  /// accounting (equivalence-tested); the vector path exists for
-  /// cross-validation and stays O(servers × slots) per cycle.
-  bool compact_allocation = true;
 
   /// The simulator's physics preconditions: the client wakes once per
   /// server cycle (`client.period == server.cycle`), and at least one
@@ -179,20 +173,20 @@ class LargeScaleSimulator {
     Entry entries_[kSize];
   };
 
-  /// Allocates `surviving` clients and prices their slots. Pure apart from
-  /// the allocator's own metrics; sums in the same order on both paths.
+  /// Allocates `surviving` clients through the O(1) occupancy-histogram
+  /// layout (allocate_compact_into) and prices their slots. Pure apart
+  /// from the allocator's own metrics.
   CloudCycle cloud_cycle(int surviving) const;
   /// simulate_cycle() with the cloud side looked up in `memo` (recomputed
   /// when `memo` is null). Records the same physics metrics either way.
   CycleResult simulate_cycle(int clients, util::Rng& rng,
                              CycleMemo* memo) const;
 
-  util::Joules server_energy(const Allocation::ServerLoad& load,
-                             std::uint64_t& saturated) const;
   /// Per-server energy of class `cls` of a flat columnar layout; the
   /// class multiplicity is read from the layout for exact saturated-slot
-  /// accounting. Arithmetic is band-for-band identical to the vector path
-  /// (equivalence-tested).
+  /// accounting. Agrees with pricing the materialized per-slot
+  /// allocate() vector slot by slot (tests/oracle.hpp
+  /// vector_cloud_cycle, equivalence-tested).
   util::Joules server_energy(const CompactLayout& layout, int cls,
                              std::uint64_t& saturated) const;
 

@@ -8,22 +8,6 @@ namespace beesim::dsp {
 
 using Complex = std::complex<double>;
 
-/// In-place iterative radix-2 Cooley-Tukey FFT. `data.size()` must be a
-/// power of two. Forward transform uses the e^{-i2pi/N} convention
-/// (matching numpy/librosa); the inverse divides by N.
-///
-/// This is the *reference* kernel: twiddles are recomputed (and
-/// incrementally drifted) every call. Hot paths use FftPlan/RealFftPlan,
-/// which precompute the bit-reversal permutation and exact per-stage
-/// twiddle tables once and reuse them across every STFT frame.
-void fft(std::vector<Complex>& data);
-void ifft(std::vector<Complex>& data);
-
-/// FFT of a real signal; returns the non-redundant half spectrum of
-/// length n/2 + 1 (like numpy.fft.rfft). `signal.size()` must be a power
-/// of two. Reference kernel (full complex transform of the real input).
-std::vector<Complex> rfft(const std::vector<double>& signal);
-
 /// True if n is a power of two (and nonzero).
 constexpr bool is_power_of_two(std::size_t n) noexcept {
   return n != 0 && (n & (n - 1)) == 0;

@@ -1,11 +1,9 @@
 #include "dsp/kernel_config.hpp"
 
-#include <stdexcept>
-
 namespace beesim::dsp {
 namespace {
 
-KernelConfig g_config = KernelConfig::fast();
+KernelConfig g_config;
 
 }  // namespace
 
@@ -13,14 +11,6 @@ const KernelConfig& kernel_config() noexcept { return g_config; }
 
 void set_kernel_config(const KernelConfig& config) noexcept {
   g_config = config;
-  set_active_isa(config.dispatch);
-}
-
-KernelConfig kernel_config_from_name(const std::string& name) {
-  if (name == "fast") return KernelConfig::fast();
-  if (name == "reference") return KernelConfig::reference();
-  throw std::invalid_argument("kernel_config_from_name: expected 'fast' or "
-                              "'reference', got '" + name + "'");
 }
 
 }  // namespace beesim::dsp

@@ -40,13 +40,10 @@ class MelSpectrogram {
       const std::vector<double>& signal) const;
 
   const Params& params() const noexcept { return params_; }
-  const Matrix& filterbank() const noexcept { return filterbank_; }
 
  private:
   Params params_;
-  Matrix filterbank_;
-  /// Sparse view of filterbank_, used when KernelConfig::banded_mel is
-  /// set (bit-identical to the dense apply).
+  /// The triangular mel filterbank, kept only in its banded form.
   BandedFilterbank banded_;
 };
 

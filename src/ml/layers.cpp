@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/kernel_config.hpp"
 #include "dsp/simd_kernels.hpp"
 #include "ml/gemm.hpp"
 #include "obs/catalog.hpp"
@@ -77,83 +76,48 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   const std::size_t n = input.dim(0);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
-  const std::size_t pad = k_ / 2;
   Tensor out({n, out_ch_, h, w});
 
   const float* in = input.data();
   float* o = out.data();
   const float* wt = weights_.data();
 
-  if (dsp::kernel_config().gemm_conv) {
-    // im2col + GEMM fast path: weights are already laid out as the
-    // (out_ch, in_ch*k*k) matrix; the lowered image supplies the
-    // (in_ch*k*k, h*w) right-hand side. Inference may run the GEMM in
-    // reduced precision; training always stays f32 for exact gradients.
-    const Precision prec = train ? Precision::kF32 : inference_precision();
-    const std::size_t cols = h * w;
-    const std::size_t kdim = in_ch_ * k_ * k_;
-    ForwardScratch& scratch = forward_scratch();
-    std::vector<float>& lowered = scratch.im2col;
-    for (std::size_t b = 0; b < n; ++b) {
-      im2col_same(in + b * in_ch_ * cols, in_ch_, h, w, k_, lowered);
-      float* obatch = o + b * out_ch_ * cols;
-      switch (prec) {
-        case Precision::kF32:
-          sgemm_bias(out_ch_, cols, kdim, wt, lowered.data(), bias_.data(),
-                     obatch);
-          break;
-        case Precision::kBf16:
-          convert_bf16(lowered.data(), lowered.size(), scratch.act_bf16);
-          sgemm_bias_bf16(out_ch_, cols, kdim, wt_bf16_.data(),
-                          scratch.act_bf16.data(), bias_.data(), obatch);
-          break;
-        case Precision::kInt8: {
-          const QuantizedTensor act =
-              quantize_tensor_s8(lowered.data(), lowered.size());
-          sgemm_bias_s8(out_ch_, cols, kdim, wt_s8_.values.data(),
-                        wt_s8_.scales.data(), act.values.data(),
-                        act.scale, bias_.data(), obatch);
-          break;
-        }
-      }
-    }
-    if (obs::enabled()) {
-      static auto& flops =
-          obs::registry().counter(obs::metric::kMlConvGemmFlops);
-      flops.inc(2 * n * out_ch_ * cols * kdim);
-    }
-    if (train) cached_input_ = input;
-    return out;
-  }
-
+  // im2col + GEMM: weights are already laid out as the (out_ch,
+  // in_ch*k*k) matrix; the lowered image supplies the (in_ch*k*k, h*w)
+  // right-hand side. Inference may run the GEMM in reduced precision;
+  // training always stays f32 for exact gradients.
+  const Precision prec = train ? Precision::kF32 : inference_precision();
+  const std::size_t cols = h * w;
+  const std::size_t kdim = in_ch_ * k_ * k_;
+  ForwardScratch& scratch = forward_scratch();
+  std::vector<float>& lowered = scratch.im2col;
   for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-      const float bias = bias_[oc];
-      for (std::size_t y = 0; y < h; ++y) {
-        for (std::size_t x = 0; x < w; ++x) {
-          float acc = bias;
-          for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-            const float* in_plane = in + (b * in_ch_ + ic) * h * w;
-            const float* wk = wt + ((oc * in_ch_ + ic) * k_) * k_;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(y + ky) -
-                                        static_cast<std::ptrdiff_t>(pad);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(x + kx) -
-                    static_cast<std::ptrdiff_t>(pad);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                acc += in_plane[static_cast<std::size_t>(iy) * w +
-                                static_cast<std::size_t>(ix)] *
-                       wk[ky * k_ + kx];
-              }
-            }
-          }
-          o[((b * out_ch_ + oc) * h + y) * w + x] = acc;
-        }
+    im2col_same(in + b * in_ch_ * cols, in_ch_, h, w, k_, lowered);
+    float* obatch = o + b * out_ch_ * cols;
+    switch (prec) {
+      case Precision::kF32:
+        sgemm_bias(out_ch_, cols, kdim, wt, lowered.data(), bias_.data(),
+                   obatch);
+        break;
+      case Precision::kBf16:
+        convert_bf16(lowered.data(), lowered.size(), scratch.act_bf16);
+        sgemm_bias_bf16(out_ch_, cols, kdim, wt_bf16_.data(),
+                        scratch.act_bf16.data(), bias_.data(), obatch);
+        break;
+      case Precision::kInt8: {
+        const QuantizedTensor act =
+            quantize_tensor_s8(lowered.data(), lowered.size());
+        sgemm_bias_s8(out_ch_, cols, kdim, wt_s8_.values.data(),
+                      wt_s8_.scales.data(), act.values.data(), act.scale,
+                      bias_.data(), obatch);
+        break;
       }
     }
+  }
+  if (obs::enabled()) {
+    static auto& flops =
+        obs::registry().counter(obs::metric::kMlConvGemmFlops);
+    flops.inc(2 * n * out_ch_ * cols * kdim);
   }
   if (train) cached_input_ = input;
   return out;

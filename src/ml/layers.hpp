@@ -41,13 +41,13 @@ class Layer {
 /// 2-D convolution, stride 1, "same" zero padding, square kernel. He
 /// initialization. Input/output layout: (N, C, H, W).
 ///
-/// The forward pass has two implementations selected by
-/// dsp::KernelConfig::gemm_conv: an im2col + register-blocked GEMM fast
-/// path (the weight matrix (out, in*k*k) times the lowered image), and
-/// the naive 6-deep loop nest kept as the reference. Inference-only
-/// forward passes honor ml::inference_precision(): the GEMM path swaps
-/// in bf16 or symmetric-int8 operands (weights re-quantized whenever they
-/// change, activations per image).
+/// The forward pass lowers each image with im2col and runs one
+/// register-blocked GEMM: the weight matrix (out, in*k*k) times the
+/// lowered image (the naive 6-deep loop nest it replaced is a test oracle
+/// in tests/dsp_oracle.hpp). Inference-only forward passes honor
+/// ml::inference_precision(): the GEMM swaps in bf16 or symmetric-int8
+/// operands (weights re-quantized whenever they change, activations per
+/// image).
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,

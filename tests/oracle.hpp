@@ -4,7 +4,9 @@
 // ResilientFleet::run_point document. They share no code with the
 // columnar advance (no memo, no batched Welford kernel, no columns), so
 // the tests that compare sweep(), advance() and checkpointed campaigns
-// against them check something independent.
+// against them check something independent. vector_cloud_cycle prices a
+// cycle's cloud side from the materialized per-slot allocate() vectors
+// instead of the compact occupancy histogram the simulator uses.
 
 #pragma once
 
@@ -16,12 +18,54 @@
 #include <map>
 #include <vector>
 
+#include "core/allocator.hpp"
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
 #include "fault/degradation.hpp"
 #include "util/rng.hpp"
 
 namespace oracle {
+
+/// The cloud side of one cycle, as LargeScaleSimulator prices it.
+struct CloudCycle {
+  int servers_used = 0;
+  int active_slots = 0;
+  double cloud_energy = 0.0;
+  std::uint64_t saturated_slots = 0;
+};
+
+/// Allocates `surviving` clients with the per-slot core::allocate() and
+/// prices every server slot by slot: idle power for the unused part of
+/// the cycle plus each occupied slot's active energy, scaled by the loss-A
+/// saturation factor. O(servers x slots), against the simulator's O(1)
+/// compact layout; energies agree to rounding (slot-by-slot sums against
+/// slots x energy per band).
+inline CloudCycle vector_cloud_cycle(
+    const beesim::core::LargeScaleSimulator& sim, int surviving) {
+  using namespace beesim;
+  const core::ServerSpec& server = sim.effective_server();
+  const core::LossConfig& loss = sim.params().loss;
+  const core::Allocation alloc =
+      core::allocate(surviving, server, sim.params().policy);
+  CloudCycle out;
+  out.servers_used = alloc.servers_used();
+  for (const auto& load : alloc.servers) {
+    out.active_slots += load.active_slots();
+    double active_time = 0.0;
+    double active_energy = 0.0;
+    for (int k : load.slot_clients) {
+      if (k <= 0) continue;
+      active_time += server.slot_duration(k);
+      active_energy += server.slot_active_energy(k) *
+                       loss.saturation_factor(k, server.max_parallel);
+      if (loss.saturates(k, server.max_parallel)) ++out.saturated_slots;
+    }
+    EXPECT_LE(active_time, server.cycle) << "active slots exceed the cycle";
+    out.cloud_energy +=
+        server.idle_power * (server.cycle - active_time) + active_energy;
+  }
+  return out;
+}
 
 /// LargeScaleSimulator::sweep(sizes, seed, cycles) as a plain loop.
 inline std::vector<beesim::core::SweepPoint> sweep(

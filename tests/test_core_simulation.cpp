@@ -7,8 +7,14 @@
 #include "core/des_check.hpp"
 #include "core/loss.hpp"
 #include "core/network_sim.hpp"
+#include "obs/catalog.hpp"
+#include "obs/metrics.hpp"
+#include "oracle.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace core = beesim::core;
+namespace obs = beesim::obs;
 using core::FillPolicy;
 using core::LossConfig;
 using core::ServiceModel;
@@ -279,37 +285,41 @@ TEST(Sweep, ClientRangeHelper) {
   EXPECT_THROW(core::client_range(10, 5, 1), std::invalid_argument);
 }
 
-// ----------------------------------- Compact vs vector allocation paths
+// ------------------------- Compact allocation vs the per-slot vector oracle
 
-/// The scaling tentpole: a simulator on the O(1) histogram path must
-/// report the same fleet physics as one on the materialized per-slot
-/// path. Energies go through a different summation order (slots × E vs
-/// repeated addition), so they agree to rounding, not bitwise.
+/// The scaling tentpole: the simulator's O(1) occupancy-histogram cloud
+/// side must report the same fleet physics as pricing the materialized
+/// per-slot allocate() vectors (oracle::vector_cloud_cycle). Energies go
+/// through a different summation order (slots × E vs repeated addition),
+/// so they agree to rounding, not bitwise.
 class CompactPathEquivalence
     : public ::testing::TestWithParam<FillPolicy> {};
 
 TEST_P(CompactPathEquivalence, MatchesVectorPathAcrossLossModels) {
+  auto& saturated =
+      obs::registry().counter(obs::metric::kLossSaturatedSlots);
   for (const auto& loss :
        {LossConfig::none(), LossConfig::only_saturation(),
         LossConfig::only_transfer_stretch(), LossConfig::all()}) {
-    core::FleetParams fast = core::FleetParams::paper_default();
-    fast.loss = loss;
-    fast.policy = GetParam();
-    fast.compact_allocation = true;
-    core::FleetParams slow = fast;
-    slow.compact_allocation = false;
-    core::LargeScaleSimulator fast_sim(fast);
-    core::LargeScaleSimulator slow_sim(slow);
-    const int cap = fast_sim.effective_server().capacity();
+    core::FleetParams params = core::FleetParams::paper_default();
+    params.loss = loss;
+    params.policy = GetParam();
+    core::LargeScaleSimulator sim(params);
+    const int cap = sim.effective_server().capacity();
     for (int n : {0, 1, 9, 10, 11, 90, cap - 1, cap, cap + 1, 2 * cap,
                   1000, 54321}) {
-      const auto a = fast_sim.simulate_ideal_cycle(n);
-      const auto b = slow_sim.simulate_ideal_cycle(n);
+      obs::set_enabled(true);
+      const auto before = saturated.value();
+      const auto a = sim.simulate_ideal_cycle(n);
+      const auto counted = saturated.value() - before;
+      obs::set_enabled(false);
+      const auto b = oracle::vector_cloud_cycle(sim, n);
       SCOPED_TRACE(std::string("policy ") + core::to_string(GetParam()) +
                    " n=" + std::to_string(n));
+      EXPECT_EQ(a.lost_clients, 0);
       EXPECT_EQ(a.servers_used, b.servers_used);
       EXPECT_EQ(a.active_slots, b.active_slots);
-      EXPECT_DOUBLE_EQ(a.edge_energy, b.edge_energy);
+      EXPECT_EQ(counted, b.saturated_slots);
       EXPECT_NEAR(a.cloud_energy, b.cloud_energy,
                   1e-9 * std::max(1.0, b.cloud_energy));
     }
@@ -317,26 +327,40 @@ TEST_P(CompactPathEquivalence, MatchesVectorPathAcrossLossModels) {
 }
 
 TEST_P(CompactPathEquivalence, MatchesVectorPathUnderDropout) {
-  // With dropout the two paths must also see the same RNG draws: the
-  // loss draw happens before allocation, so identical seeds give
-  // identical surviving counts on both paths.
-  core::FleetParams fast = core::FleetParams::paper_default();
-  fast.loss = LossConfig::all();
-  fast.policy = GetParam();
-  core::FleetParams slow = fast;
-  slow.compact_allocation = false;
-  core::LargeScaleSimulator fast_sim(fast);
-  core::LargeScaleSimulator slow_sim(slow);
-  const auto a = fast_sim.sweep({50, 250, 999}, 13, 4);
-  const auto b = slow_sim.sweep({50, 250, 999}, 13, 4);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].servers_used, b[i].servers_used);
-    EXPECT_DOUBLE_EQ(a[i].lost_clients.mean(), b[i].lost_clients.mean());
-    EXPECT_DOUBLE_EQ(a[i].active_slots.mean(), b[i].active_slots.mean());
-    EXPECT_DOUBLE_EQ(a[i].edge_energy.mean(), b[i].edge_energy.mean());
-    EXPECT_NEAR(a[i].cloud_energy.mean(), b[i].cloud_energy.mean(),
-                1e-9 * std::max(1.0, b[i].cloud_energy.mean()));
+  // Loss C draws the survivors before allocation, so the oracle prices
+  // each cycle's drawn survivor count; sweep() statistics built from the
+  // vector-priced cycles must match the compact ones.
+  core::FleetParams params = core::FleetParams::paper_default();
+  params.loss = LossConfig::all();
+  params.policy = GetParam();
+  core::LargeScaleSimulator sim(params);
+  const std::vector<int> sizes = {50, 250, 999};
+  constexpr std::uint64_t kSeed = 13;
+  constexpr int kCycles = 4;
+  const auto a = sim.sweep(sizes, kSeed, kCycles);
+  ASSERT_EQ(a.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const int n = sizes[i];
+    beesim::util::Rng rng =
+        beesim::util::Rng::for_stream(kSeed, static_cast<std::uint64_t>(n));
+    int servers_used = 0;
+    beesim::util::RunningStats lost, slots, edge, cloud;
+    for (int c = 0; c < kCycles; ++c) {
+      const auto r = sim.simulate_cycle(n, rng);
+      const auto v = oracle::vector_cloud_cycle(sim, r.surviving_clients());
+      servers_used = std::max(servers_used, v.servers_used);
+      lost.add(static_cast<double>(r.lost_clients));
+      slots.add(static_cast<double>(v.active_slots));
+      edge.add(r.edge_energy);
+      cloud.add(v.cloud_energy);
+    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    EXPECT_EQ(a[i].servers_used, servers_used);
+    EXPECT_DOUBLE_EQ(a[i].lost_clients.mean(), lost.mean());
+    EXPECT_DOUBLE_EQ(a[i].active_slots.mean(), slots.mean());
+    EXPECT_DOUBLE_EQ(a[i].edge_energy.mean(), edge.mean());
+    EXPECT_NEAR(a[i].cloud_energy.mean(), cloud.mean(),
+                1e-9 * std::max(1.0, cloud.mean()));
   }
 }
 

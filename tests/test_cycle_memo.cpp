@@ -68,19 +68,16 @@ std::vector<Case> grid() {
        {core::FillPolicy::kFillFirst, core::FillPolicy::kBalanced,
         core::FillPolicy::kRoundRobin})
     for (int max_parallel : {10, 35})
-      for (const auto& [loss_name, loss] : losses)
-        for (bool compact : {true, false}) {
-          FleetParams p =
-              FleetParams::paper_default(core::ServiceModel::kCnn,
-                                         max_parallel);
-          p.policy = policy;
-          p.loss = loss;
-          p.compact_allocation = compact;
-          cases.push_back({std::string(core::to_string(policy)) + "/mp" +
-                               std::to_string(max_parallel) + "/" +
-                               loss_name + (compact ? "/compact" : "/vector"),
-                           p});
-        }
+      for (const auto& [loss_name, loss] : losses) {
+        FleetParams p =
+            FleetParams::paper_default(core::ServiceModel::kCnn,
+                                       max_parallel);
+        p.policy = policy;
+        p.loss = loss;
+        cases.push_back({std::string(core::to_string(policy)) + "/mp" +
+                             std::to_string(max_parallel) + "/" + loss_name,
+                         p});
+      }
   return cases;
 }
 

@@ -5,22 +5,24 @@
 #include <numbers>
 #include <vector>
 
+#include "audio/synth.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/kernel_config.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/spectrogram.hpp"
 #include "dsp/stft.hpp"
+#include "dsp_oracle.hpp"
 #include "ml/layers.hpp"
 #include "ml/network.hpp"
 #include "obs/catalog.hpp"
 #include "util/rng.hpp"
 
-// Equivalence tests between the fast-path kernels (dsp::KernelConfig) and
-// the naive reference implementations they replace: bit-identical where
-// the accumulation order is unchanged (banded filterbank, fused
-// power_to_db, STFT chunking), <= 1e-9 relative where the FFT algorithm
-// differs (planned real FFT vs full complex FFT), and float tolerance for
-// the GEMM convolution.
+// Equivalence tests between the fast kernels in src/ and the naive
+// reference oracles in dsp_oracle.hpp: bit-identical where the
+// accumulation order is unchanged (banded filterbank, fused power_to_db,
+// STFT chunking), <= 1e-9 relative where the FFT algorithm differs
+// (planned real FFT vs full complex FFT), and float tolerance for the
+// GEMM convolution.
 
 namespace dsp = beesim::dsp;
 namespace ml = beesim::ml;
@@ -28,7 +30,7 @@ namespace ml = beesim::ml;
 namespace {
 
 /// Restores the global kernel config on scope exit so test order never
-/// leaks a reference config into other suites.
+/// leaks a serial-STFT config into other suites.
 class KernelConfigGuard {
  public:
   KernelConfigGuard() : saved_(dsp::kernel_config()) {}
@@ -67,22 +69,42 @@ void expect_matrices_identical(const dsp::Matrix& a, const dsp::Matrix& b) {
       ASSERT_EQ(a(r, c), b(r, c)) << "at (" << r << ", " << c << ")";
 }
 
+/// MelSpectrogram::compute through the oracles: per-frame full complex
+/// FFT STFT, then the dense filterbank.
+dsp::Matrix oracle_mel(const dsp::MelSpectrogram& mel,
+                       const std::vector<double>& signal) {
+  const auto& mp = mel.params();
+  dsp::StftParams sp;
+  sp.n_fft = mp.n_fft;
+  sp.hop = mp.hop;
+  return oracle::apply_filterbank(
+      dsp::mel_filterbank(mp.n_mels, mp.n_fft, mp.sample_rate, mp.fmin,
+                          mp.fmax),
+      oracle::stft_power(signal, sp));
+}
+
+/// MelSpectrogram::compute_image's dB / resize / [0, 1] steps applied to
+/// the oracle mel spectrogram.
+dsp::Matrix oracle_image(const dsp::MelSpectrogram& mel,
+                         const std::vector<double>& signal,
+                         std::size_t side) {
+  dsp::Matrix img = dsp::resize_bilinear(
+      dsp::power_to_db(oracle_mel(mel, signal)), side, side);
+  const double lo = img.min();
+  const double hi = img.max();
+  const double span = hi > lo ? hi - lo : 1.0;
+  for (std::size_t r = 0; r < img.rows(); ++r)
+    for (std::size_t c = 0; c < img.cols(); ++c)
+      img(r, c) = (img(r, c) - lo) / span;
+  return img;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ KernelConfig
 
-TEST(KernelConfig, ParseNames) {
-  EXPECT_TRUE(dsp::kernel_config_from_name("fast").planned_fft);
-  EXPECT_FALSE(dsp::kernel_config_from_name("reference").gemm_conv);
-  EXPECT_THROW(dsp::kernel_config_from_name("turbo"), std::invalid_argument);
-}
-
 TEST(KernelConfig, DefaultIsFast) {
-  const auto& kc = dsp::kernel_config();
-  EXPECT_TRUE(kc.planned_fft);
-  EXPECT_TRUE(kc.parallel_stft);
-  EXPECT_TRUE(kc.banded_mel);
-  EXPECT_TRUE(kc.gemm_conv);
+  EXPECT_TRUE(dsp::kernel_config().parallel_stft);
 }
 
 // ---------------------------------------------------------------- FFT plan
@@ -93,7 +115,7 @@ TEST(FftPlan, MatchesReferenceFft) {
     std::vector<dsp::Complex> data(n);
     for (auto& v : data) v = {rng.normal(), rng.normal()};
     auto reference = data;
-    dsp::fft(reference);
+    oracle::fft(reference);
     const dsp::FftPlan plan(n);
     plan.forward(data);
     double scale = 1.0;
@@ -115,7 +137,7 @@ TEST(RealFftPlan, MatchesReferenceRfft) {
   beesim::util::Rng rng(12);
   for (std::size_t n : {1u, 2u, 4u, 8u, 32u, 512u, 2048u, 4096u}) {
     const auto signal = random_signal(n, rng);
-    const auto reference = dsp::rfft(signal);
+    const auto reference = oracle::rfft(signal);
     const dsp::RealFftPlan plan(n);
     const auto fast = plan.transform(signal);
     ASSERT_EQ(fast.size(), n / 2 + 1);
@@ -156,18 +178,13 @@ TEST(RealFftPlan, PowerMatchesTransformSquared) {
 // -------------------------------------------------------------------- STFT
 
 TEST(StftKernels, FastMatchesReference) {
-  KernelConfigGuard guard;
   beesim::util::Rng rng(14);
   const auto signal = random_signal(10000, rng);
   dsp::StftParams p;
   p.n_fft = 1024;
   p.hop = 256;
-
-  dsp::set_kernel_config(dsp::KernelConfig::reference());
-  const auto reference = dsp::stft_power(signal, p);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
-  const auto fast = dsp::stft_power(signal, p);
-  expect_matrices_close(fast, reference, 1e-9);
+  expect_matrices_close(dsp::stft_power(signal, p),
+                        oracle::stft_power(signal, p), 1e-9);
 }
 
 TEST(StftKernels, ChunkingIsBitIdentical) {
@@ -175,7 +192,7 @@ TEST(StftKernels, ChunkingIsBitIdentical) {
   beesim::util::Rng rng(15);
   const auto signal = random_signal(30000, rng);
 
-  auto kc = dsp::KernelConfig::fast();
+  dsp::KernelConfig kc;
   kc.parallel_stft = false;
   dsp::set_kernel_config(kc);
   const auto serial = dsp::stft_power(signal);
@@ -212,7 +229,7 @@ TEST(BandedFilterbank, MatchesDenseBitIdentical) {
         power(r, c) = rng.uniform(0.0, 10.0);
     const dsp::BandedFilterbank banded(fb);
     expect_matrices_identical(banded.apply(power),
-                              dsp::apply_filterbank(fb, power));
+                              oracle::apply_filterbank(fb, power));
   }
 }
 
@@ -273,16 +290,18 @@ TEST(PowerToDb, MatchesLegacyTwoPassBitIdentical) {
 // ------------------------------------------------------------ Conv2d GEMM
 
 TEST(ConvGemm, ForwardMatchesNaive) {
-  KernelConfigGuard guard;
   beesim::util::Rng rng(18);
   ml::Conv2d conv(3, 5, 3, rng);
   ml::Tensor input({2, 3, 17, 13});
   for (std::size_t i = 0; i < input.size(); ++i)
     input[i] = static_cast<float>(rng.normal());
 
-  dsp::set_kernel_config(dsp::KernelConfig::reference());
-  const auto reference = conv.forward(input, false);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
+  oracle::NaiveConv2d naive(3, 5, 3);
+  std::vector<float> params;
+  conv.append_parameters(params);
+  const float* cursor = params.data();
+  naive.load_parameters(cursor);
+  const auto reference = naive.forward(input, false);
   const auto fast = conv.forward(input, false);
 
   ASSERT_EQ(fast.size(), reference.size());
@@ -294,18 +313,16 @@ TEST(ConvGemm, ForwardMatchesNaive) {
 }
 
 TEST(ConvGemm, QueenCnnLogitsMatchNaive) {
-  KernelConfigGuard guard;
   const std::size_t side = 20;
   beesim::util::Rng net_rng(19);
   auto net = ml::make_queen_cnn(net_rng, 8, side);
+  auto naive = oracle::naive_queen_cnn(net, 8, side);
   ml::Tensor input({2, 1, side, side});
   beesim::util::Rng in_rng(20);
   for (std::size_t i = 0; i < input.size(); ++i)
     input[i] = static_cast<float>(in_rng.uniform());
 
-  dsp::set_kernel_config(dsp::KernelConfig::reference());
-  const auto reference = net.forward(input, false);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
+  const auto reference = naive.forward(input, false);
   const auto fast = net.forward(input, false);
   ASSERT_EQ(fast.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i)
@@ -316,15 +333,18 @@ TEST(ConvGemm, QueenCnnLogitsMatchNaive) {
 // ----------------------------------------------------------- Mel pipeline
 
 TEST(MelPipeline, FastMatchesReference) {
-  KernelConfigGuard guard;
   beesim::util::Rng rng(21);
   const auto clip = random_signal(22050, rng);
   dsp::MelSpectrogram mel;
 
-  dsp::set_kernel_config(dsp::KernelConfig::reference());
-  const auto reference = mel.compute(clip);
-  const auto ref_features = mel.compute_features(clip);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
+  const auto reference = oracle_mel(mel, clip);
+  std::vector<double> ref_features;
+  const dsp::Matrix db = dsp::power_to_db(reference);
+  for (std::size_t m = 0; m < db.rows(); ++m) {
+    double acc = 0.0;
+    for (std::size_t f = 0; f < db.cols(); ++f) acc += db(m, f);
+    ref_features.push_back(acc / static_cast<double>(db.cols()));
+  }
   const auto fast = mel.compute(clip);
   const auto fast_features = mel.compute_features(clip);
 
@@ -334,11 +354,45 @@ TEST(MelPipeline, FastMatchesReference) {
     ASSERT_NEAR(fast_features[i], ref_features[i], 1e-6);
 }
 
+// ------------------------------------------------- End-to-end queen pipeline
+
+TEST(QueenPipeline, ClipLogitsMatchOraclePipeline) {
+  // The cloud-side queen detection path (Section V): synthesized clip ->
+  // mel image -> queen CNN, once through the production kernels and once
+  // through the oracles (full complex FFT STFT, dense filterbank, naive
+  // convolution) with the same network parameters.
+  constexpr std::size_t kSide = 40;
+  constexpr std::size_t kChannels = 8;
+  beesim::audio::BeeAudioSynth synth;
+  beesim::util::Rng clip_rng(24);
+  dsp::MelSpectrogram mel;
+  std::vector<dsp::Matrix> images;
+  std::vector<dsp::Matrix> oracle_images;
+  for (bool queen : {true, false, true, false}) {
+    const auto clip = synth.synthesize(queen, 1.0, clip_rng);
+    images.push_back(mel.compute_image(clip, kSide));
+    oracle_images.push_back(oracle_image(mel, clip, kSide));
+    expect_matrices_close(images.back(), oracle_images.back(), 1e-9);
+  }
+
+  beesim::util::Rng net_rng(25);
+  auto net = ml::make_queen_cnn(net_rng, kChannels, kSide);
+  auto naive = oracle::naive_queen_cnn(net, kChannels, kSide);
+  const auto classes = ml::predict_classifier(net, images);
+  const auto logits = net.forward(ml::images_to_tensor(images), false);
+  const auto oracle_logits =
+      naive.forward(ml::images_to_tensor(oracle_images), false);
+  ASSERT_EQ(logits.size(), oracle_logits.size());
+  for (std::size_t i = 0; i < logits.size(); ++i)
+    ASSERT_NEAR(logits[i], oracle_logits[i],
+                1e-4f * std::max(1.0f, std::abs(oracle_logits[i])))
+        << "logit " << i;
+  EXPECT_EQ(classes, ml::SoftmaxCrossEntropy::predict(oracle_logits));
+}
+
 // ------------------------------------------------------------ Obs metrics
 
 TEST(KernelMetrics, StftCountsFramesAndPlanReuses) {
-  KernelConfigGuard guard;
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
   auto& frames =
       beesim::obs::registry().counter(beesim::obs::metric::kDspStftFrames);
   auto& reuses = beesim::obs::registry().counter(
@@ -363,14 +417,13 @@ TEST(KernelMetrics, StftCountsFramesAndPlanReuses) {
 // ---------------------------------------------------------- Property fuzz
 
 TEST(FuzzKernels, FastStftAndRfftMatchReferenceOnRandomShapes) {
-  KernelConfigGuard guard;
   beesim::util::Rng rng(23);
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n_fft =
         std::size_t{1} << rng.uniform_int(4, 11);  // 16 .. 2048
     // Random real-FFT equivalence at this size.
     const auto frame = random_signal(n_fft, rng);
-    const auto ref_spec = dsp::rfft(frame);
+    const auto ref_spec = oracle::rfft(frame);
     const auto fast_spec = dsp::RealFftPlan(n_fft).transform(frame);
     double scale = 1.0;
     for (const auto& v : ref_spec) scale = std::max(scale, std::abs(v));
@@ -389,10 +442,7 @@ TEST(FuzzKernels, FastStftAndRfftMatchReferenceOnRandomShapes) {
                                 static_cast<std::int64_t>(n_fft / 2),
                                 8192));
     const auto signal = random_signal(len, rng);
-    dsp::set_kernel_config(dsp::KernelConfig::reference());
-    const auto reference = dsp::stft_power(signal, p);
-    dsp::set_kernel_config(dsp::KernelConfig::fast());
-    const auto fast = dsp::stft_power(signal, p);
-    expect_matrices_close(fast, reference, 1e-9);
+    expect_matrices_close(dsp::stft_power(signal, p),
+                          oracle::stft_power(signal, p), 1e-9);
   }
 }

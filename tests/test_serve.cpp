@@ -125,10 +125,19 @@ TEST(CanonicalHash, EveryFieldPerturbsTheHash) {
   p = lossy_fleet();
   p.loss.dropout_mean_fraction += 1e-12;
   EXPECT_NE(core::canonical_hash(p), base);
+}
 
-  p = lossy_fleet();
-  p.compact_allocation = !p.compact_allocation;
-  EXPECT_NE(core::canonical_hash(p), base);
+TEST(CanonicalHash, GoldenFleetHashesArePinned) {
+  // Canonical hashes key the PointCache and stamp every BEESIMCK header,
+  // so a change to the FleetParams encoding (a field added, dropped or
+  // reordered — including the constant that stands in for the removed
+  // allocation switch) must show up here before it orphans checkpoints.
+  core::FleetParams p = core::FleetParams::paper_default();
+  EXPECT_EQ(core::canonical_hash(p).to_string(),
+            "f42b27cf19525865.1ca87c7fb8e3442b");
+  p.loss = core::LossConfig::all();
+  EXPECT_EQ(core::canonical_hash(p).to_string(),
+            "297ed00747601556.83257ba1acaf651a");
 }
 
 TEST(CanonicalHash, DistinguishesSignedZero) {

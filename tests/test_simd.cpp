@@ -10,7 +10,6 @@
 #include "core/network_sim.hpp"
 #include "dsp/dispatch.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/kernel_config.hpp"
 #include "dsp/simd_kernels.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -82,16 +81,6 @@ TEST(Dispatch, ForcedTierClampsToDetected) {
   EXPECT_LE(static_cast<int>(dsp::active_isa()),
             static_cast<int>(dsp::detected_isa()));
   dsp::set_active_isa(dsp::IsaRequest::kAuto);
-  EXPECT_EQ(dsp::active_isa(), dsp::detected_isa());
-}
-
-TEST(Dispatch, KernelConfigCarriesDispatch) {
-  IsaGuard guard;
-  dsp::KernelConfig cfg = dsp::KernelConfig::fast();
-  cfg.dispatch = dsp::IsaRequest::kScalar;
-  dsp::set_kernel_config(cfg);
-  EXPECT_EQ(dsp::active_isa(), dsp::IsaTier::kScalar);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
   EXPECT_EQ(dsp::active_isa(), dsp::detected_isa());
 }
 

@@ -47,7 +47,7 @@ std::vector<double> nested_compute(unsigned outer_threads,
 }
 
 dsp::Matrix stft_fixture(bool parallel, bool nested_outer) {
-  dsp::KernelConfig cfg = dsp::KernelConfig::fast();
+  dsp::KernelConfig cfg;
   cfg.parallel_stft = parallel;
   dsp::set_kernel_config(cfg);
 
@@ -70,7 +70,7 @@ dsp::Matrix stft_fixture(bool parallel, bool nested_outer) {
   } else {
     out = dsp::stft_power(signal, params);
   }
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
+  dsp::set_kernel_config(dsp::KernelConfig{});
   return out;
 }
 
@@ -109,12 +109,12 @@ TEST(TaskPool, DatasetFeaturizerInvariantToNestedStftParallelism) {
   params.clip_seconds = 0.5;
   params.extended_features = true;
 
-  dsp::KernelConfig cfg = dsp::KernelConfig::fast();
+  dsp::KernelConfig cfg;
   cfg.parallel_stft = false;
   dsp::set_kernel_config(cfg);
   const audio::QueenDataset serial_inner = audio::generate_queen_dataset(params);
 
-  dsp::set_kernel_config(dsp::KernelConfig::fast());  // parallel_stft on
+  dsp::set_kernel_config(dsp::KernelConfig{});  // parallel_stft on
   const audio::QueenDataset nested = audio::generate_queen_dataset(params);
 
   ASSERT_EQ(serial_inner.size(), nested.size());
